@@ -6,10 +6,9 @@
 // --jobs; grid helpers (sim/experiment.hpp) and hand-rolled bench loops
 // submit their independent runs to it and read the results back in
 // submission order, so every table and every JSON byte is identical at any
-// --jobs value (only the wall clock changes). --sim-threads adds the second
-// parallelism plane: host threads *inside* each simulation (cores sharded
-// per cycle, sim/shard_pool.hpp), equally byte-identical at any value; see
-// DESIGN.md "Threading model & determinism contract".
+// --jobs value (only the wall clock changes). Each simulation itself runs
+// serially on its worker; see DESIGN.md "Threading model & determinism
+// contract".
 #pragma once
 
 #include <cstdio>
@@ -31,7 +30,6 @@ namespace ptb::bench {
 /// Options every bench binary accepts.
 struct BenchOptions {
   unsigned jobs = 0;      // --jobs N; 0 = RunPool::default_jobs()
-  unsigned sim_threads = 1;  // --sim-threads N; shards within each run
   std::string json_path;  // --json PATH; empty = no JSON output
   AuditLevel audit = AuditLevel::kOff;  // --audit {off,cheap,full}
   std::string only;       // --only NAME; empty = whole suite
@@ -91,17 +89,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
         std::exit(2);
       }
       opts.jobs = static_cast<unsigned>(n);
-    } else if (arg == "--sim-threads" ||
-               arg.rfind("--sim-threads=", 0) == 0) {
-      const char* v =
-          arg.size() > 13 && arg[13] == '=' ? arg.c_str() + 14
-                                            : value("--sim-threads");
-      const long n = std::strtol(v, nullptr, 10);
-      if (n < 1) {
-        std::fprintf(stderr, "%s: --sim-threads must be >= 1\n", argv[0]);
-        std::exit(2);
-      }
-      opts.sim_threads = static_cast<unsigned>(n);
     } else if (arg == "--json") {
       opts.json_path = value("--json");
     } else if (arg.rfind("--json=", 0) == 0) {
@@ -235,7 +222,7 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
       }
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: %s [--jobs N] [--sim-threads N] [--json PATH]\n"
+          "usage: %s [--jobs N] [--json PATH]\n"
           "          [--audit LEVEL] [--only NAME | --list]\n"
           "          [--trace PATH[:CATS]] [--stats PATH[:EVERY]]\n"
           "          [--stats-format json|prom]\n"
@@ -244,13 +231,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
           "          [--checkpoint-at CYC:PATH] [--restore-from PATH]\n"
           "  --jobs N      worker threads for the run grid (default: all\n"
           "                hardware threads); results are identical for any N\n"
-          "  --sim-threads N\n"
-          "                host threads inside each simulation: modeled cores\n"
-          "                are sharded across N workers that advance in\n"
-          "                lockstep per cycle (default: 1). Results are\n"
-          "                bit-identical for any N; combine with --jobs so\n"
-          "                jobs * sim-threads stays within the host's\n"
-          "                hardware threads\n"
           "  --json PATH   also write the results as machine-readable JSON\n"
           "  --audit LEVEL run the invariant auditor on every simulation:\n"
           "                off (default), cheap (per-core checks each cycle)\n"
@@ -323,7 +303,6 @@ class BenchContext {
     // Applies to every config built through make_sim_config from here on;
     // set before any run is submitted to the pool.
     set_default_audit_level(opts_.audit);
-    set_default_sim_threads(opts_.sim_threads);
     set_default_sample_windows(opts_.sample_detail, opts_.sample_period);
     if (!opts_.warm_checkpoint_dir.empty()) {
       set_default_warm_checkpoint_dir(opts_.warm_checkpoint_dir);

@@ -282,14 +282,6 @@ struct SimConfig {
   Cycle sample_detail = 0;
   Cycle sample_period = 0;
 
-  /// Host worker threads for the intra-run cycle loop (sim/shard_pool):
-  /// modeled cores are sharded across this many host threads that advance
-  /// in lockstep epochs. Results are byte-identical for every value — the
-  /// serial path (<= 1) runs the exact same phase sequence on one thread —
-  /// so, like audit_level and trace, this knob is excluded from the config
-  /// fingerprint. Clamped to num_cores.
-  std::uint32_t sim_threads = 1;
-
   /// Mesh dimensions derived from num_cores (squarest factorization).
   std::uint32_t mesh_width() const;
   std::uint32_t mesh_height() const;

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 #include "core/balancer.hpp"
 
@@ -67,8 +66,7 @@ class ClusteredBalancer {
 
   /// Registers CMP-wide token totals under `prefix` plus every cluster
   /// balancer's stats under `prefix`.cluster.K (src/stats).
-  void register_stats(StatsRegistry& reg, const std::string& prefix)
-      const PTB_REQUIRES(g_sequential_point);
+  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
   /// Attach/detach the event tracer on every cluster balancer; cluster k
   /// emits token events with its global core ids and pool tag k.

@@ -20,7 +20,6 @@
 
 #include "common/bytes.hpp"
 #include "common/config.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 #include "cpu/branch_predictor.hpp"
 #include "cpu/functional_units.hpp"
@@ -36,19 +35,6 @@ namespace ptb {
 
 class StatsRegistry;
 
-/// One data/instruction access deferred out of the parallel phases of the
-/// sharded cycle loop (sim/shard_pool.hpp) and replayed through
-/// MemorySystem::access() at the cycle's sequential memory point, in
-/// (core, program) order — i.e. in exactly the order the serial loop would
-/// have issued it. `seq` is the ROB sequence number for data accesses
-/// (unused for I-fetches).
-struct DeferredMemReq {
-  Addr addr = 0;
-  std::uint64_t seq = 0;
-  MemAccessType type = MemAccessType::kLoad;
-  bool plain_store = false;  // retires into the store buffer at now + 1
-};
-
 class Core {
  public:
   Core(CoreId id, const SimConfig& cfg, MemorySystem& mem, SyncState& sync,
@@ -56,45 +42,9 @@ class Core {
 
   /// Advance the core by one (core-clock) cycle at global cycle `now`.
   /// The caller (CMP) handles frequency scaling by skipping ticks.
-  /// Equivalent to tick_commit_phase(now) followed by tick_fetch_phase(now)
-  /// (plus resolve_deferred(now) when a deferral queue is attached).
+  /// Completion delivery and commit run first, then issue (memory
+  /// accesses go straight to the memory system) and fetch.
   void tick(Cycle now);
-
-  // --- phased tick for the sharded cycle loop (sim/shard_pool.hpp) ---
-  // The CMP splits each tick at the phase boundary: the commit phase
-  // (completion delivery + in-order retirement) may touch shared sync
-  // state through deliver_value(), so cores with a sync op in flight run
-  // it sequentially on the main thread; the fetch phase (issue + fetch)
-  // touches only core-private state once memory accesses are deferred, so
-  // it always runs in the parallel region.
-
-  /// Phase A: completion processing (incl. value delivery) + commit.
-  void tick_commit_phase(Cycle now);
-  /// Phase B: issue + fetch. With a deferral queue attached (see
-  /// set_mem_defer), every memory access is queued instead of performed and
-  /// the L1I probe consults only this core's own cache.
-  void tick_fetch_phase(Cycle now);
-
-  /// Attaches/detaches the deferral queue phase B fills. Null (the default)
-  /// restores the classic immediate-access behavior of tick().
-  void set_mem_defer(std::vector<DeferredMemReq>* q) { mem_defer_ = q; }
-
-  /// Sequential memory point: replays this core's deferred accesses through
-  /// the memory system in queue order, assigning completion times and
-  /// front-end stall windows, and folds the parallel phase's L1I hit count
-  /// into the aggregate fetch counter. Clears the queue.
-  void resolve_deferred(Cycle now) PTB_REQUIRES(g_sequential_point);
-
-  /// True while a generation-blocking sync micro-op (lock/barrier) is in
-  /// flight: its completion will touch shared SyncState, so this core's
-  /// commit phase must run at the sequential point.
-  bool sync_pending() const { return sync_inflight_ > 0; }
-
-  /// Auditor hook: the deferral queue must be fully drained at the
-  /// end-of-cycle audit point.
-  bool deferred_drained() const {
-    return mem_defer_ == nullptr || mem_defer_->empty();
-  }
 
   bool finished() const { return program_finished_ && rob_count_ == 0; }
 
@@ -153,13 +103,12 @@ class Core {
 
   /// Registers the pipeline counters, occupancy gauges and the PTHT's
   /// counters under `prefix` (src/stats).
-  void register_stats(StatsRegistry& reg, const std::string& prefix)
-      const PTB_REQUIRES(g_sequential_point);
+  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
   // Checkpoint support (sim/checkpoint): pipeline, predictor, PTHT and BCT
   // state. Per-tick scratch, the base-cost memo and the FU pools (reset at
   // the start of every tick) are rebuilt, not serialized. Must only be
-  // called at the cycle boundary (deferral queue drained).
+  // called at a cycle boundary.
   void save_state(ByteWriter& w) const;
   void load_state(ByteReader& r);
 
@@ -254,11 +203,6 @@ class Core {
   bool idle_ = false;
   bool estimate_fetch_ = true;
   std::uint32_t tick_rob_before_ = 0;  // ROB occupancy entering the tick
-
-  // Sharded-loop deferral state (null/zero in the classic immediate mode).
-  std::vector<DeferredMemReq>* mem_defer_ = nullptr;
-  std::uint64_t deferred_ifetch_hits_ = 0;  // probe hits awaiting the merge
-  std::uint32_t sync_inflight_ = 0;  // in-flight generation-blocking sync ops
 
   std::array<BaseCost, kBaseCostEntries> base_costs_{};
 

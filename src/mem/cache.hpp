@@ -9,7 +9,6 @@
 
 #include "common/bytes.hpp"
 #include "common/config.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 
 namespace ptb {
@@ -54,6 +53,8 @@ class Cache {
     std::uint32_t sharers = 0;     // bitmask of cores with an S copy
     CoreId owner = kNoCore;        // core holding M/E/O, if any
   };
+  /// Most cores the sharer bitmask can track: the directory's core cap.
+  static constexpr std::uint32_t kMaxSharers = 8 * sizeof(Line::sharers);
 
   /// Line address (tag) for a byte address.
   Addr line_of(Addr a) const { return a >> line_shift_; }
@@ -82,8 +83,7 @@ class Cache {
   std::uint64_t evictions = 0;
 
   /// Registers hit/miss/eviction counters under `prefix` (src/stats).
-  void register_stats(StatsRegistry& reg, const std::string& prefix)
-      const PTB_REQUIRES(g_sequential_point);
+  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
   // Checkpoint support: every line (fields individually — the struct has
   // padding), the LRU clock and the counters. Geometry is configuration and

@@ -21,7 +21,8 @@ DirectoryController::DirectoryController(const SimConfig& cfg, Mesh& mesh,
                                          std::vector<Cache>& l1d)
     : cfg_(cfg), mesh_(mesh), l1i_(l1i), l1d_(l1d), dram_(cfg.mem),
       num_cores_(cfg.num_cores) {
-  PTB_ASSERT(num_cores_ <= 32, "sharer bitmask supports at most 32 cores");
+  PTB_ASSERT(num_cores_ <= Cache::kMaxSharers,
+             "sharer bitmask supports at most 32 cores");
   l2_banks_.reserve(num_cores_);
   // Lines are interleaved across banks by (line % num_cores); drop those
   // bits from each bank's set index so the whole bank capacity is usable.

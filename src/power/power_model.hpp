@@ -18,7 +18,6 @@
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 #include "isa/microop.hpp"
 #include "power/kmeans.hpp"
@@ -71,8 +70,7 @@ class BaseEnergyModel {
   /// Registers the model's grouping-quality gauges and per-class means
   /// under `prefix` (src/stats). The model is immutable, so these are
   /// constants of the run.
-  void register_stats(StatsRegistry& reg, const std::string& prefix)
-      const PTB_REQUIRES(g_sequential_point);
+  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
  private:
   double jitter_factor(Pc pc) const;

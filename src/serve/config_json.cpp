@@ -3,6 +3,7 @@
 #include <cstddef>
 
 #include "common/format.hpp"
+#include "mem/cache.hpp"
 #include "workloads/suite.hpp"
 
 namespace ptb::serve {
@@ -342,6 +343,12 @@ bool apply_sim_config_json(const json::Value& doc, SimConfig& cfg,
       std::uint32_t cores = 0;
       if (!v.as_u32(cores) || cores == 0)
         return bad(err, "config", k, "expected a positive integer");
+      if (cores > Cache::kMaxSharers) {
+        std::string why = "expected at most ";
+        why += std::to_string(Cache::kMaxSharers);
+        why += " cores (directory sharer bitmask)";
+        return bad(err, "config", k, why.c_str());
+      }
       cfg.num_cores = cores;
     } else if (k == "technique") {
       if (!v.is_string() ||
@@ -365,7 +372,7 @@ bool apply_sim_config_json(const json::Value& doc, SimConfig& cfg,
     } else if (k == "functional_warmup") {
       if (!as_b(v, cfg.functional_warmup))
         return bad(err, "config", k, "expected a boolean");
-    } else if (k == "audit_level" || k == "sim_threads" || k == "trace") {
+    } else if (k == "audit_level" || k == "trace") {
       return bad(err, "config", k,
                  "observe-only knob, not addressable over the wire");
     } else {

@@ -10,7 +10,7 @@
 //
 // The codec covers every fingerprinted SimConfig field (reporting.cpp's
 // machine_fingerprint + config_fingerprint lists) and nothing else: the
-// observe-only knobs (audit_level, sim_threads, trace.*) are deliberately
+// observe-only knobs (audit_level, trace.*) are deliberately
 // not addressable over the wire — they cannot change a result, so a client
 // setting them could only burn server CPU; requests naming them are
 // rejected with an error saying so.

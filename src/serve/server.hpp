@@ -57,10 +57,7 @@ class Server {
 
  private:
   /// The routes themselves; `trace` carries the request's minted trace
-  /// linkage into submit() (zero-valued when tracing is off). (Not named
-  /// `route`: the NoC's route() is parallel-shard code and ptb-lint's
-  /// lexical call graph would merge the two names, dragging the service
-  /// plane into the phase-purity reachability set.)
+  /// linkage into submit() (zero-valued when tracing is off).
   HttpResponse dispatch(const HttpRequest& req,
                         const Service::TraceCtx& trace);
 

@@ -3,7 +3,7 @@
 //
 //   * restore-exactness: a run restored from a mid-run checkpoint produces
 //     the same RunResult bytes as the uninterrupted run (asserted by
-//     tests/sim/checkpoint_test.cpp at every --sim-threads value);
+//     tests/sim/checkpoint_test.cpp);
 //   * warm forking: a cycle-0 checkpoint taken right after functional
 //     warmup is technique/budget-independent, so a sweep forks its N policy
 //     points from one shared warmed image instead of re-warming N times
@@ -41,7 +41,8 @@
 namespace ptb {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x43425450u;  // "PTBC" LE
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+// 2: per-core pipeline state no longer carries an in-flight sync-op count.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Section tags. Values are part of the on-disk format: never renumber,
 /// only append. Restore skips tags it does not know.

@@ -2,22 +2,25 @@
 // control machinery, and runs one workload's parallel phase to completion
 // under a global cycle loop.
 //
-// Control flow per global cycle (Section III of the paper):
-//   1. cores tick (frequency scaling = tick skipping; DVFS transitions
-//      stall), producing per-cycle activity;
-//   2. per-core instantaneous power is computed twice: exact (for the
-//      energy/AoPB results) and PTHT-estimated (the control signal);
+// Control flow per global cycle (Section III of the paper), all on the
+// calling thread:
+//   1. in core order, each core is gated (enforcer, thrifty-barrier and
+//      meeting-point ratios, fractional-frequency accumulator; DVFS
+//      transitions stall) and, when active, ticks with immediate memory
+//      accesses, producing per-cycle activity;
+//   2. per-core instantaneous power is computed twice in one batch: exact
+//      (for the energy/AoPB results) and PTHT-estimated (the control
+//      signal), then smoothed and attributed to spin states and the
+//      thermal model; the CMP totals add the cycle's NoC energy;
 //   3. the PTB load-balancer redistributes spare tokens (when enabled);
 //   4. each core's local enforcer (DVFS / DFS / 2-level) reacts to its
 //      (possibly PTB-augmented) local budget;
-//   5. energy, AoPB, spin attribution and temperature are accounted.
+//   5. energy and AoPB are accounted, then the invariant audit runs.
 //
-// Steps 1-2 are per-core and run sharded across host worker threads when
-// SimConfig::sim_threads > 1 (sim/shard_pool.hpp); steps 3-5 plus memory-
-// access replay, trace flushing and the invariant audit run at a sequential
-// point on the main thread every cycle. Results are bit-identical at every
-// --sim-threads value; DESIGN.md ("Threading model & determinism contract")
-// documents why.
+// A run is serial and deterministic: results are a pure function of
+// (profile, config, seed). Parallelism lives one level up, across runs
+// (sim/run_pool.hpp); DESIGN.md ("Threading model & determinism
+// contract") documents the contract.
 #pragma once
 
 #include <cstdint>
@@ -112,7 +115,7 @@ struct RunResult {
 
 /// Periodic progress snapshot of a running simulation (RunObserver below).
 /// Everything here is read from the run's own deterministic state at the
-/// cycle loop's sequential point; producing it never changes a result.
+/// end of a cycle; producing it never changes a result.
 struct RunProgress {
   Cycle cycle = 0;        // cycles completed so far
   Cycle max_cycles = 0;   // the run's cycle budget
@@ -131,8 +134,6 @@ struct RunProgress {
 /// cache probe/simulate/serialize/publish in cached_run_payload). Hooks
 /// observe only — a null observer (the default) costs one pointer test
 /// and results are byte-identical either way (tests/serve proves it).
-/// (Named enter/exit, not begin/end: `stage_begin` is EventTrace's
-/// sequential-point API and ptb-lint polices that token by name.)
 struct RunObserver {
   std::function<void(std::string_view stage)> stage_enter;
   std::function<void(std::string_view stage)> stage_exit;
@@ -157,11 +158,6 @@ struct RunOptions {
   /// all deterministic scalar stats are appended to a columnar buffer
   /// carried in the dump. Non-zero implies `stats`.
   Cycle stats_sample_every = 0;
-  /// Test-only: upper bound (ns) on a deterministic pseudo-random sleep
-  /// each shard worker takes before running its shard of a cycle
-  /// (sim/shard_pool.hpp). The TSan stress tests use it to shake epoch
-  /// timing; it perturbs wall-clock only — results stay bit-identical.
-  std::uint32_t shard_jitter_ns = 0;
   /// Cycle at which run() serializes a full-state checkpoint frame
   /// (sim/checkpoint.hpp) into `*checkpoint_out` (kNeverCycle = never).
   /// The capture happens at the top of that cycle's loop body — before the
@@ -202,11 +198,6 @@ struct CycleFrame {
   // Batched power-model outputs (overwritten in place by the EMA).
   std::vector<double> est_power;
   std::vector<double> act_power;
-  // Sharded-loop state: which cores had gate+commit run in the sequential
-  // pre-pass, and the per-core queues of memory accesses parked by the
-  // parallel phases for replay at the sequential memory point.
-  std::vector<std::uint8_t> seq_gated;
-  std::vector<std::vector<DeferredMemReq>> mem_defer;
 
   void reset(std::uint32_t n, double local_budget);
 };
@@ -247,12 +238,9 @@ class CmpSimulator {
 
  private:
   /// One end-of-cycle audit pass (only called when auditor_ is non-null);
-  /// aborts via PTB_ASSERTF on the first violated invariant. Runs at the
-  /// cycle's sequential point, so it also cross-checks the shard merge
-  /// (finished-core recount, drained deferral queues).
+  /// aborts via PTB_ASSERTF on the first violated invariant.
   void audit_cycle(Cycle now, const EnergyAccounting& acct, double total_act,
-                   const double* eff_budget, const std::uint8_t* finished,
-                   std::uint32_t finished_count);
+                   const double* eff_budget);
   // Both are copied: a simulator must outlive any temporary it was
   // constructed from.
   SimConfig cfg_;

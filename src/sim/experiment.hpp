@@ -60,15 +60,6 @@ SimConfig make_sim_config(std::uint32_t cores, const TechniqueSpec& tech,
 void set_default_audit_level(AuditLevel level);
 AuditLevel default_audit_level();
 
-/// Process-wide intra-run thread count stamped into every config
-/// make_sim_config builds (default 1 = serial). The bench binaries set it
-/// from --sim-threads; results are byte-identical for every value (see
-/// sim/shard_pool.hpp), so — like the audit level — this is a wall-clock
-/// knob, not an experiment parameter. Not thread-safe: set it before
-/// submitting work to a RunPool. 0 is normalized to 1.
-void set_default_sim_threads(std::uint32_t threads);
-std::uint32_t default_sim_threads();
-
 /// Process-wide sampled-simulation windows stamped into every config
 /// make_sim_config builds (default 0/0 = every cycle detailed; see
 /// SimConfig::sample_detail/sample_period). Unlike the knobs above this IS
@@ -238,7 +229,7 @@ class DiskRunCache {
   /// Content address of one run: FNV-1a over the artifact schema version,
   /// config_fingerprint(cfg) and the benchmark name. Everything that can
   /// change a result byte is inside config_fingerprint; observe-only
-  /// knobs (audit/trace/sim_threads) stay out, so a request answered
+  /// knobs (audit/trace) stay out, so a request answered
   /// from cache is indistinguishable from a re-run.
   static std::uint64_t run_key(std::string_view benchmark,
                                const SimConfig& cfg);

@@ -95,12 +95,11 @@ void print_slowdown(const FigureGrid& grid, const std::string& title) {
 
 // Observe-only knobs that can never change a result stay out of the
 // fingerprint so turning them on/off compares against existing results:
-// audit_level (aborts or is silent), sim_threads (byte-identical at every
-// shard count by construction), trace.* (recorder sizing). ptb-lint's
+// audit_level (aborts or is silent) and trace.* (recorder sizing). ptb-lint's
 // fingerprint checker holds this list exactly equal to the set of unhashed
 // SimConfig fields — extending SimConfig without deciding fingerprint
 // status fails the lint.
-// ptb-lint: fingerprint-exclude(audit_level, sim_threads, trace)
+// ptb-lint: fingerprint-exclude(audit_level, trace)
 std::uint64_t machine_fingerprint(const SimConfig& cfg) {
   std::uint64_t h = 0xcbf29ce484222325ull;  // FNV offset basis
   // Field-by-field (never struct-at-once: padding bytes are

@@ -44,9 +44,6 @@ std::string run_summary_kv(const RunResult& r) {
   // (src/stats) so the flat key=value plane and the registry share one
   // formatting path (pinned precisions, locale-independent decimal point).
   // Registration order IS the pinned legacy key order — append-only.
-  // The registry is local and the RunResult is immutable here, so this
-  // caller is trivially its own sequential point.
-  ScopedThreadRole seq(g_sequential_point);
   StatsRegistry reg;
   reg.counter("num_cores", "", &r.num_cores);
   reg.counter("cycles", "", &r.cycles);

@@ -306,31 +306,7 @@ void EventTracer::emit(TraceEventType t, std::uint32_t core,
                        std::uint64_t arg, double value) {
   const TraceCategory cat = trace_event_category(t);
   if (!enabled(cat)) return;
-  const TraceEvent e{now_, t, core, arg, value};
-  // Staged region: the emitting core's slot is private to the one shard
-  // ticking that core, so the append is race-free and the later in-order
-  // flush reproduces the serial emission order byte for byte.
-  if (staging_active_ && core < stage_.size()) {
-    stage_[core].push_back(e);
-    return;
-  }
-  push(e);
-}
-
-void EventTracer::push(const TraceEvent& e) {
-  rings_[static_cast<std::size_t>(trace_event_category(e.type))].push(e);
-}
-
-void EventTracer::enable_staging(std::uint32_t num_cores) {
-  stage_.resize(num_cores);
-}
-
-void EventTracer::stage_flush() {
-  staging_active_ = false;
-  for (auto& slot : stage_) {
-    for (const TraceEvent& e : slot) push(e);
-    slot.clear();
-  }
+  rings_[static_cast<std::size_t>(cat)].push({now_, t, core, arg, value});
 }
 
 EventTrace EventTracer::finish(std::uint32_t num_cores, Cycle end_cycle,

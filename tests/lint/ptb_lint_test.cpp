@@ -127,12 +127,12 @@ TEST(LintMarkers, SameLineAllowSuppressesItsOwnLine) {
 
 TEST(LintMarkers, OwnLineAllowBindsToNextCodeLine) {
   const SourceFile f = lex_snippet(
-      "// ptb-lint: allow(phase-purity)\n"
+      "// ptb-lint: allow(fp-accum)\n"
       "// explanatory prose between marker and code\n"
       "int a = bad();\n"
       "int b = bad();\n");
-  EXPECT_TRUE(f.allowed("phase-purity", 3));
-  EXPECT_FALSE(f.allowed("phase-purity", 4));
+  EXPECT_TRUE(f.allowed("fp-accum", 3));
+  EXPECT_FALSE(f.allowed("fp-accum", 4));
 }
 
 TEST(LintMarkers, AllowWithoutArgsSuppressesEveryCheck) {
@@ -143,14 +143,14 @@ TEST(LintMarkers, AllowWithoutArgsSuppressesEveryCheck) {
 
 TEST(LintMarkers, AllowBlockCoversEveryLineInclusive) {
   const SourceFile f = lex_snippet(
-      "// ptb-lint: allow-begin(phase-purity)\n"
+      "// ptb-lint: allow-begin(fp-accum)\n"
       "int a = bad();\n"
       "int b = bad();\n"
       "// ptb-lint: allow-end\n"
       "int c = bad();\n");
-  EXPECT_TRUE(f.allowed("phase-purity", 2));
-  EXPECT_TRUE(f.allowed("phase-purity", 3));
-  EXPECT_FALSE(f.allowed("phase-purity", 5));
+  EXPECT_TRUE(f.allowed("fp-accum", 2));
+  EXPECT_TRUE(f.allowed("fp-accum", 3));
+  EXPECT_FALSE(f.allowed("fp-accum", 5));
 }
 
 TEST(LintMarkers, LegacyWallclockSpellingStillWorks) {
@@ -169,12 +169,11 @@ TEST(LintMarkers, MarkerInsideStringLiteralIsNotAMarker) {
 TEST(LintMarkers, RegionAndFileMarkersAreRecorded) {
   const SourceFile f = lex_snippet(
       "// ptb-lint: cycle-loop-file\n"
-      "// ptb-lint: parallel-region-begin(shard)\n"
-      "// ptb-lint: parallel-region-end(shard)\n");
+      "// ptb-lint: fingerprint-exclude(audit_level, trace)\n");
   EXPECT_TRUE(f.has_marker("cycle-loop-file"));
-  EXPECT_TRUE(f.has_marker("parallel-region-begin"));
-  ASSERT_EQ(f.markers.size(), 3u);
-  EXPECT_EQ(f.markers[1].args, "shard");
+  EXPECT_TRUE(f.has_marker("fingerprint-exclude"));
+  ASSERT_EQ(f.markers.size(), 2u);
+  EXPECT_EQ(f.markers[1].args, "audit_level, trace");
 }
 
 // --- fixtures: every annotated line fires, nothing else does ---------------
@@ -199,7 +198,8 @@ TEST(LintFixtures, FindingsMatchAnnotatedLinesExactly) {
       if (line.find("FINDING") != std::string::npos) expected[rel].insert(ln);
     }
   }
-  ASSERT_GE(corpus.files.size(), 5u) << "fixture corpus went missing";
+  ASSERT_GE(corpus.files.size(), ptblint::all_checks().size())
+      << "fixture corpus went missing";
 
   std::map<std::string, std::set<int>> actual;
   std::set<std::string> checks_fired;

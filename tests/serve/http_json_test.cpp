@@ -194,17 +194,25 @@ TEST(ConfigCodec, RejectsUnknownKeysWithPositionedError) {
 TEST(ConfigCodec, RejectsObserveOnlyKnobs) {
   SimConfig cfg;
   std::string err;
-  for (const char* knob : {"audit_level", "sim_threads", "trace"}) {
+  for (const char* knob : {"audit_level", "trace"}) {
     const std::string body = std::string("{\"") + knob + "\":1}";
     EXPECT_FALSE(sim_config_from_json(body, cfg, err)) << knob;
     EXPECT_NE(err.find("observe-only"), std::string::npos) << err;
   }
+  // Not a SimConfig field: rejected as an unknown key.
+  EXPECT_FALSE(sim_config_from_json("{\"sim_threads\":1}", cfg, err));
+  EXPECT_NE(err.find("unknown key"), std::string::npos) << err;
 }
 
 TEST(ConfigCodec, RejectsOutOfDomainValues) {
   SimConfig cfg;
   std::string err;
   EXPECT_FALSE(sim_config_from_json("{\"num_cores\":0}", cfg, err));
+  // One past the directory's sharer-bitmask cap: must be a clean error,
+  // not the directory's constructor assert.
+  EXPECT_FALSE(sim_config_from_json("{\"num_cores\":33}", cfg, err));
+  EXPECT_NE(err.find("num_cores"), std::string::npos) << err;
+  EXPECT_TRUE(sim_config_from_json("{\"num_cores\":32}", cfg, err)) << err;
   EXPECT_FALSE(sim_config_from_json("{\"budget_fraction\":0.0}", cfg, err));
   EXPECT_FALSE(sim_config_from_json("{\"budget_fraction\":1.5}", cfg, err));
   EXPECT_FALSE(

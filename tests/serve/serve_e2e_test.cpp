@@ -638,6 +638,15 @@ TEST(ServeE2E, HandleErrorSurface) {
       server.handle(req("GET", "/v1/results/0123456789abcdef")).status,
       404);
   EXPECT_EQ(server.handle(req("GET", "/v1/results/not-a-key")).status, 404);
+  // One core past the directory's sharer-bitmask cap: a 400 naming the
+  // field, and the daemon keeps serving.
+  const HttpResponse too_many = server.handle(req(
+      "POST", "/v1/run",
+      "{\"benchmark\":\"fft\",\"config\":{\"num_cores\":33}}"));
+  EXPECT_EQ(too_many.status, 400);
+  EXPECT_NE(too_many.body.find("num_cores"), std::string::npos)
+      << too_many.body;
+  EXPECT_EQ(server.handle(req("GET", "/healthz")).status, 200);
 
   // Drained service answers 503, not a hang.
   server.service().stop();

@@ -9,13 +9,12 @@
 //     mid-run frame additionally pins the full config fingerprint;
 //   - the headline guarantee: a run restored from a mid-run checkpoint
 //     finishes bit-identical — RunResult fields, serialized event-trace
-//     bytes and the deterministic stats dump — to the uninterrupted run,
-//     at every --sim-threads value;
+//     bytes and the deterministic stats dump — to the uninterrupted run;
 //   - warm forking: a cycle-0 post-warmup frame captured under one
 //     technique restores under another and reproduces that technique's
 //     from-scratch results exactly;
 //   - sampled simulation: fast-forward windows preserve completion timing,
-//     stay deterministic across shard counts, and fold into the config
+//     stay deterministic across runs, and fold into the config
 //     fingerprint.
 #include "sim/checkpoint.hpp"
 
@@ -29,6 +28,7 @@
 #include "sim/reporting.hpp"
 #include "trace/trace.hpp"
 #include "workloads/suite.hpp"
+#include "sim_test_support.hpp"
 
 namespace ptb {
 namespace {
@@ -53,48 +53,6 @@ TechniqueSpec base_spec() {
 TechniqueSpec ptb_spec() {
   return {"ptb+2l(dyn)", TechniqueKind::kTwoLevel, true, PtbPolicy::kDynamic,
           0.0};
-}
-
-// Bitwise comparison of every deterministic RunResult field (the
-// sim_threads identity hammer's comparator, reused for restore identity).
-void expect_bit_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.benchmark, b.benchmark);
-  EXPECT_EQ(a.num_cores, b.num_cores);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.hit_max_cycles, b.hit_max_cycles);
-  EXPECT_EQ(a.energy, b.energy);
-  EXPECT_EQ(a.aopb, b.aopb);
-  EXPECT_EQ(a.budget, b.budget);
-  EXPECT_EQ(a.power.count(), b.power.count());
-  EXPECT_EQ(a.power.mean(), b.power.mean());
-  EXPECT_EQ(a.power.max(), b.power.max());
-  EXPECT_EQ(a.power.variance(), b.power.variance());
-  EXPECT_EQ(a.spin_energy, b.spin_energy);
-  EXPECT_EQ(a.total_committed, b.total_committed);
-  EXPECT_EQ(a.tokens_donated, b.tokens_donated);
-  EXPECT_EQ(a.tokens_granted, b.tokens_granted);
-  EXPECT_EQ(a.tokens_evaporated, b.tokens_evaporated);
-  EXPECT_EQ(a.dvfs_transitions, b.dvfs_transitions);
-  EXPECT_EQ(a.to_one_cycles, b.to_one_cycles);
-  EXPECT_EQ(a.to_all_cycles, b.to_all_cycles);
-  EXPECT_EQ(a.spin_gated_cycles, b.spin_gated_cycles);
-  EXPECT_EQ(a.machine_fingerprint, b.machine_fingerprint);
-  ASSERT_EQ(a.cores.size(), b.cores.size());
-  for (std::size_t i = 0; i < a.cores.size(); ++i) {
-    SCOPED_TRACE(i);
-    const CoreResult& x = a.cores[i];
-    const CoreResult& y = b.cores[i];
-    EXPECT_EQ(x.finish_cycle, y.finish_cycle);
-    EXPECT_EQ(x.committed, y.committed);
-    EXPECT_EQ(x.flushes, y.flushes);
-    for (std::uint32_t s = 0; s < kNumExecStates; ++s) {
-      EXPECT_EQ(x.state_cycles[s], y.state_cycles[s]);
-    }
-    EXPECT_EQ(x.spin_energy, y.spin_energy);
-    EXPECT_EQ(x.energy, y.energy);
-    EXPECT_EQ(x.temp_mean, y.temp_mean);
-    EXPECT_EQ(x.temp_std, y.temp_std);
-  }
 }
 
 // --- frame plumbing ---------------------------------------------------------
@@ -274,11 +232,10 @@ TEST(CheckpointRestore, CorruptFrameRejectedWithDiagnostic) {
 
 // --- restore-vs-continuous exactness ----------------------------------------
 
-// The hammer: capture at C under shard count S1, restore into a fresh
-// simulator running at shard count S2, and require the resumed run to be
-// bit-identical to the uninterrupted run — results, trace bytes, stats
-// dump. Covers the {1,4} x {1,4} grid for both a PTB technique and the
-// thrifty baseline (different sequential-pre-pass shape).
+// The hammer: capture at the run's midpoint, restore into a fresh
+// simulator, and require the resumed run to be bit-identical to the
+// uninterrupted run — results, trace bytes, stats dump. Run for both a PTB
+// technique and the thrifty baseline (different gating shape).
 void restore_hammer(const TechniqueSpec& tech) {
   const WorkloadProfile p = small_profile();
   RunOptions opts;
@@ -286,33 +243,23 @@ void restore_hammer(const TechniqueSpec& tech) {
   opts.stats = true;
   opts.stats_sample_every = 256;
 
-  for (const std::uint32_t capture_threads : {1u, 4u}) {
-    SimConfig cfg = make_sim_config(4, tech);
-    cfg.sim_threads = capture_threads;
-    const RunResult full = CmpSimulator(cfg, p).run(opts);
-    ASSERT_FALSE(full.hit_max_cycles);
-    const Cycle mid = full.cycles / 2;
-    const std::string ckpt = capture_at(p, cfg, mid, opts);
-    ASSERT_FALSE(ckpt.empty());
+  const SimConfig cfg = make_sim_config(4, tech);
+  const RunResult full = CmpSimulator(cfg, p).run(opts);
+  ASSERT_FALSE(full.hit_max_cycles);
+  const std::string ckpt = capture_at(p, cfg, full.cycles / 2, opts);
+  ASSERT_FALSE(ckpt.empty());
 
-    for (const std::uint32_t resume_threads : {1u, 4u}) {
-      SCOPED_TRACE(std::to_string(capture_threads) + " threads -> " +
-                   std::to_string(resume_threads));
-      SimConfig rcfg = cfg;
-      rcfg.sim_threads = resume_threads;
-      CmpSimulator sim(rcfg, p);
-      std::string err;
-      ASSERT_TRUE(sim.restore_checkpoint(ckpt, &err)) << err;
-      const RunResult resumed = sim.run(opts);
-      expect_bit_identical(full, resumed);
-      ASSERT_NE(full.trace, nullptr);
-      ASSERT_NE(resumed.trace, nullptr);
-      EXPECT_EQ(full.trace->serialize(), resumed.trace->serialize());
-      ASSERT_NE(resumed.stats, nullptr);
-      EXPECT_EQ(stats_json(full, /*include_volatile=*/false),
-                stats_json(resumed, /*include_volatile=*/false));
-    }
-  }
+  CmpSimulator sim(cfg, p);
+  std::string err;
+  ASSERT_TRUE(sim.restore_checkpoint(ckpt, &err)) << err;
+  const RunResult resumed = sim.run(opts);
+  expect_bit_identical(full, resumed);
+  ASSERT_NE(full.trace, nullptr);
+  ASSERT_NE(resumed.trace, nullptr);
+  EXPECT_EQ(full.trace->serialize(), resumed.trace->serialize());
+  ASSERT_NE(resumed.stats, nullptr);
+  EXPECT_EQ(stats_json(full, /*include_volatile=*/false),
+            stats_json(resumed, /*include_volatile=*/false));
 }
 
 TEST(CheckpointRestore, MidRunResumeBitIdenticalPtb) {
@@ -404,15 +351,13 @@ TEST(SampledSim, PreservesCompletionAndScalesEnergy) {
   EXPECT_LT(sampled.energy, 2.0 * full.energy);
 }
 
-TEST(SampledSim, DeterministicAcrossShardCounts) {
+TEST(SampledSim, DeterministicAcrossRuns) {
   const WorkloadProfile p = small_profile();
   SimConfig cfg = make_sim_config(4, ptb_spec());
   cfg.sample_detail = 250;
   cfg.sample_period = 1000;
-  SimConfig four = cfg;
-  four.sim_threads = 4;
   expect_bit_identical(CmpSimulator(cfg, p).run(),
-                       CmpSimulator(four, p).run());
+                       CmpSimulator(cfg, p).run());
 }
 
 TEST(SampledSim, KnobsFoldIntoConfigFingerprintWhenActive) {

@@ -3,8 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <ios>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "sim/experiment.hpp"
+#include "sim/trace_export.hpp"
+#include "stats/dump.hpp"
+#include "trace/trace.hpp"
 #include "workloads/suite.hpp"
+#include "sim_test_support.hpp"
 
 namespace ptb {
 namespace {
@@ -156,6 +165,81 @@ TEST(CmpSimulator, SingleCoreDegenerateCaseWorks) {
   const RunResult r = sim.run();
   EXPECT_FALSE(r.hit_max_cycles);
   EXPECT_EQ(r.cores.size(), 1u);
+}
+
+// Golden cycle-loop digests: FNV-1a over the run summary, the serialized
+// all-category event trace and the sampled deterministic stats dump of the
+// sync-heavy profile. The table pins every byte the cycle loop produces
+// across the controller families (each exercises a different gating and
+// control path), so a loop restructuring that changes any emitted byte —
+// result, trace order or stats — fails here. A legitimate result change
+// must update the table and say why.
+std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct GoldenCase {
+  const char* label;
+  std::uint32_t cores;
+  TechniqueSpec tech;
+  bool gate_spinners;
+  std::uint32_t cluster_size;
+  std::uint64_t digest;
+};
+
+TEST(CmpSimulator, GoldenCycleLoopDigests) {
+  const TechniqueSpec base{"base", TechniqueKind::kNone, false,
+                           PtbPolicy::kToAll, 0.0};
+  const TechniqueSpec dvfs{"dvfs", TechniqueKind::kDvfs, false,
+                           PtbPolicy::kToAll, 0.0};
+  const TechniqueSpec ptb_dyn{"ptb+2l(dyn)", TechniqueKind::kTwoLevel, true,
+                              PtbPolicy::kDynamic, 0.0};
+  const TechniqueSpec ptb_one{"ptb+2l(toone)", TechniqueKind::kTwoLevel,
+                              true, PtbPolicy::kToOne, 0.0};
+  const TechniqueSpec thrifty{"thrifty", TechniqueKind::kThriftyBarrier,
+                              false, PtbPolicy::kToAll, 0.0};
+  const TechniqueSpec meeting{"meeting", TechniqueKind::kMeetingPoints,
+                              false, PtbPolicy::kToAll, 0.0};
+  const std::vector<GoldenCase> cases = {
+      {"base", 4, base, false, 0, 0x79465eca4d92134aull},
+      {"dvfs", 4, dvfs, false, 0, 0xa5b8ba4e9df03df5ull},
+      {"ptb+2l(dyn)", 4, ptb_dyn, false, 0, 0xe9b8d83b2dfec6c0ull},
+      {"thrifty", 4, thrifty, false, 0, 0x0909fb56113f4e8eull},
+      {"meeting", 4, meeting, false, 0, 0xa3d932958abace12ull},
+      {"base", 16, base, false, 0, 0xdae274c3cde7b1d5ull},
+      {"dvfs", 16, dvfs, false, 0, 0x1bfd7b705ffb447dull},
+      {"ptb+2l(dyn)", 16, ptb_dyn, false, 0, 0x841712e75c1fc629ull},
+      {"ptb+2l(toone)", 16, ptb_one, false, 0, 0x653ff68305a33a14ull},
+      {"thrifty", 16, thrifty, false, 0, 0xd14b0b56e140e021ull},
+      {"meeting", 16, meeting, false, 0, 0x53d611896db077dbull},
+      {"ptb+2l(dyn)+gate", 16, ptb_dyn, true, 0, 0x9c3e187f19885c33ull},
+      {"ptb+2l(dyn)+clustered", 16, ptb_dyn, false, 4, 0x97617d6a5675c9c5ull},
+  };
+  const WorkloadProfile p = sync_heavy_profile();
+  RunOptions opts;
+  opts.trace_categories = kTraceAll;
+  opts.stats = true;
+  opts.stats_sample_every = 512;
+  for (const GoldenCase& c : cases) {
+    SCOPED_TRACE(std::string(c.label) + " @" + std::to_string(c.cores));
+    SimConfig cfg = make_sim_config(c.cores, c.tech);
+    cfg.audit_level = AuditLevel::kOff;
+    cfg.ptb.gate_spinners = c.gate_spinners;
+    cfg.ptb.cluster_size = c.cluster_size;
+    const RunResult r = CmpSimulator(cfg, p).run(opts);
+    ASSERT_FALSE(r.hit_max_cycles);
+    ASSERT_NE(r.trace, nullptr);
+    ASSERT_NE(r.stats, nullptr);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    h = fnv1a(h, run_summary_kv(r));
+    h = fnv1a(h, r.trace->serialize());
+    h = fnv1a(h, r.stats->to_json(/*include_volatile=*/false));
+    EXPECT_EQ(h, c.digest) << "actual digest 0x" << std::hex << h;
+  }
 }
 
 }  // namespace

@@ -145,11 +145,11 @@ void check_unordered_iter(const Corpus& corpus, std::vector<Finding>& out) {
 // ---------------------------------------------------------------------------
 // fp-accum: scalar floating-point reduction loops in cycle-loop files
 // (marked `ptb-lint: cycle-loop-file`). Cross-core reductions there must go
-// through deterministic_total() (common/deterministic.hpp) so the result is
-// independent of shard partitioning; an ad-hoc `sum += arr[i]` loop fixes
-// one association order lexically today but invites a parallel-friendly
-// "optimization" tomorrow. Indexed targets (per-core state like acc[i])
-// are exempt — they are element-wise updates, not reductions.
+// through deterministic_total() (common/deterministic.hpp) so every CMP
+// total uses the one canonical reduction order; an ad-hoc `sum += arr[i]`
+// loop fixes one association order lexically today but invites a
+// reordering "optimization" tomorrow. Indexed targets (per-core state like
+// acc[i]) are exempt — they are element-wise updates, not reductions.
 // ---------------------------------------------------------------------------
 
 std::set<std::string> collect_double_names(const Corpus& corpus) {
@@ -199,8 +199,8 @@ void scan_loop_body(const SourceFile& f, const std::set<std::string>& doubles,
     add(out, f, target.line, "fp-accum",
         "floating-point reduction '" + target.text +
             " += ...[i]' inside a loop in a cycle-loop file: route "
-            "cross-core sums through deterministic_total() so the result "
-            "is independent of shard partitioning");
+            "cross-core sums through deterministic_total() so every sum "
+            "uses the one canonical reduction order");
   }
 }
 
@@ -280,37 +280,9 @@ void check_wallclock(const Corpus& corpus, std::vector<Finding>& out) {
 }
 
 // ---------------------------------------------------------------------------
-// phase-purity: the DESIGN.md phase contract, lexically enforced. Code
-// between `ptb-lint: parallel-region-begin(R)` / `parallel-region-end(R)`
-// markers runs on shard workers; it — and every function lexically
-// reachable from it through the corpus call graph — must not call
-// sequential-point API (register_stats, stage_flush, stage_begin,
-// resolve_deferred) or touch barrier-synchronized members (mem_, sync_,
-// thrifty_, meeting_). Guarded exceptions carry `allow(phase-purity)`
-// markers whose comments state the guard (e.g. sync_pending() cores are
-// gated in the sequential pre-pass).
+// Lexical function-definition index (the fingerprint checker locates the
+// fingerprint function bodies with it).
 // ---------------------------------------------------------------------------
-
-const std::set<std::string, std::less<>> kDenyCalls = {
-    "register_stats", "stage_flush", "stage_begin", "resolve_deferred"};
-const std::set<std::string, std::less<>> kDenyReceivers = {
-    "mem_", "sync_", "thrifty_", "meeting_"};
-// The deny is about *mutable* shared state; SyncState's address-layout API
-// is a pure function of the id (fixed at construction), so the workload
-// generators may compute lock/barrier addresses from any phase.
-const std::set<std::string, std::less<>> kImmutableMethods = {
-    "lock_addr", "barrier_addr", "barrier_sense_addr"};
-// Names never traversed by the reachability walk: smart-pointer/container
-// accessors the corpus also happens to define somewhere (x.get() must not
-// drag BaseRunCache::get — and through it the whole experiment driver —
-// into the "reachable from a shard" set). A deny hit *inside* one of these
-// would be caught by that function's own region if it had one; the cost of
-// the stoplist is only missed transitive edges through these names.
-const std::set<std::string, std::less<>> kGraphStopNames = {
-    "get",   "find",  "run",   "add",   "insert", "erase", "begin",
-    "end",   "size",  "empty", "clear", "count",  "at",    "front",
-    "back",  "top",   "pop",   "push",  "reset",  "data",  "value",
-    "first", "second"};
 
 struct FnDef {
   const SourceFile* file;
@@ -319,8 +291,7 @@ struct FnDef {
 };
 
 // Lexical function-definition extraction: `name ( ... ) [cv] {`.
-// Constructors (mem-init lists) and lambdas are deliberately skipped —
-// missing graph edges only weaken transitive findings, never add noise.
+// Constructors (mem-init lists) and lambdas are deliberately skipped.
 std::map<std::string, std::vector<FnDef>> build_defs(const Corpus& corpus) {
   std::map<std::string, std::vector<FnDef>> defs;
   for (const SourceFile& f : corpus.files) {
@@ -345,129 +316,6 @@ std::map<std::string, std::vector<FnDef>> build_defs(const Corpus& corpus) {
     }
   }
   return defs;
-}
-
-struct DenySite {
-  const SourceFile* file;
-  int line;
-  std::string what;  // human-readable description of the deny hit
-};
-
-void scan_range_for_denies(const SourceFile& f, std::size_t begin,
-                           std::size_t end, std::vector<DenySite>& hits,
-                           std::set<std::string>& calls) {
-  const Tokens& ts = f.tokens;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (ts[i].kind != Tok::kIdent) continue;
-    if (i + 1 < end && is_punct(ts[i + 1], "(") && !is_keyword(ts[i].text)) {
-      calls.insert(ts[i].text);
-      if (kDenyCalls.count(ts[i].text) != 0) {
-        hits.push_back({&f, ts[i].line,
-                        "calls sequential-point API '" + ts[i].text + "()'"});
-      }
-    }
-    if (kDenyReceivers.count(ts[i].text) != 0 && i + 1 < end &&
-        (is_punct(ts[i + 1], ".") || is_punct(ts[i + 1], "->"))) {
-      if (i + 2 < end && ts[i + 2].kind == Tok::kIdent &&
-          kImmutableMethods.count(ts[i + 2].text) != 0) {
-        continue;  // immutable address-layout query, phase-safe
-      }
-      hits.push_back({&f, ts[i].line,
-                      "touches barrier-synchronized state '" + ts[i].text +
-                          "'"});
-    }
-  }
-}
-
-void check_phase_purity(const Corpus& corpus, std::vector<Finding>& out) {
-  // 1. Region token ranges from the paired markers.
-  struct Region {
-    const SourceFile* file;
-    std::string name;
-    int begin_line, end_line;
-  };
-  std::vector<Region> regions;
-  for (const SourceFile& f : corpus.files) {
-    for (const Marker& m : f.markers) {
-      if (m.directive != "parallel-region-begin") continue;
-      int end_line = 1 << 30;  // unterminated region extends to EOF
-      for (const Marker& e : f.markers) {
-        if (e.directive == "parallel-region-end" && e.args == m.args &&
-            e.line > m.line && e.line < end_line) {
-          end_line = e.line;
-        }
-      }
-      regions.push_back({&f, m.args, m.line, end_line});
-    }
-  }
-  if (regions.empty()) return;
-
-  const std::map<std::string, std::vector<FnDef>> defs = build_defs(corpus);
-
-  // 2. Direct scan of each region + seed the reachability worklist.
-  std::vector<DenySite> direct;
-  std::set<std::string> seeds;
-  for (const Region& r : regions) {
-    const Tokens& ts = r.file->tokens;
-    std::size_t begin = ts.size(), end = ts.size();
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-      if (ts[i].line >= r.begin_line && begin == ts.size()) begin = i;
-      if (ts[i].line > r.end_line) {
-        end = i;
-        break;
-      }
-    }
-    std::vector<DenySite> hits;
-    scan_range_for_denies(*r.file, begin, end, hits, seeds);
-    for (DenySite& h : hits) {
-      add(out, *h.file, h.line, "phase-purity",
-          "parallel region '" + r.name + "' " + h.what +
-              "; only the sequential point may do this (DESIGN.md phase "
-              "contract)");
-    }
-  }
-
-  // 3. BFS through the corpus call graph; every function reachable from a
-  // region by name is held to the same contract. parent[] remembers one
-  // call chain for the report.
-  std::map<std::string, std::string> parent;
-  std::vector<std::string> work;
-  for (const std::string& s : seeds) {
-    if (defs.count(s) != 0 && kGraphStopNames.count(s) == 0) {
-      parent[s] = "";
-      work.push_back(s);
-    }
-  }
-  while (!work.empty()) {
-    const std::string name = work.back();
-    work.pop_back();
-    const auto it = defs.find(name);
-    if (it == defs.end()) continue;
-    for (const FnDef& d : it->second) {
-      std::vector<DenySite> hits;
-      std::set<std::string> calls;
-      scan_range_for_denies(*d.file, d.body_begin, d.body_end, hits, calls);
-      std::string chain = name;
-      for (auto p = parent.find(name);
-           p != parent.end() && !p->second.empty();
-           p = parent.find(p->second)) {
-        chain = p->second + " -> " + chain;
-      }
-      for (DenySite& h : hits) {
-        add(out, *h.file, h.line, "phase-purity",
-            "'" + name + "' (reachable from a parallel shard region via " +
-                chain + ") " + h.what +
-                "; only the sequential point may do this");
-      }
-      for (const std::string& c : calls) {
-        if (parent.count(c) == 0 && defs.count(c) != 0 &&
-            kGraphStopNames.count(c) == 0) {
-          parent[c] = name;
-          work.push_back(c);
-        }
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -710,9 +558,6 @@ const std::vector<CheckInfo>& all_checks() {
        &check_fp_accum},
       {"wallclock", "host wall-clock / entropy sources",
        &check_wallclock},
-      {"phase-purity",
-       "parallel-shard-reachable code touching sequential-point state",
-       &check_phase_purity},
       {"fingerprint",
        "SimConfig fields missing from the config fingerprint",
        &check_fingerprint},

@@ -9,8 +9,6 @@
 //   fp-accum        FP reductions in the cycle loop bypassing
 //                   deterministic_total()
 //   wallclock       wall-clock / entropy use outside the allow-list
-//   phase-purity    parallel-shard-region-reachable code touching
-//                   barrier-synchronized (sequential-point) state
 //   fingerprint     SimConfig fields neither hashed into the config
 //                   fingerprint nor on the explicit exclusion list
 //
