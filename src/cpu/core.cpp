@@ -10,7 +10,7 @@ namespace ptb {
 namespace {
 // Expected ROB residency added to cold PTHT estimates (cycles).
 constexpr double kColdResidencyGuess = 16.0;
-// Issue-queue scan window past the oldest unissued op.
+// Issue window: sequence numbers [oldest unissued, oldest unissued + 32).
 constexpr std::uint64_t kIssueScanWindow = 32;
 }  // namespace
 
@@ -25,17 +25,18 @@ Core::Core(CoreId id, const SimConfig& cfg, MemorySystem& mem,
                     : 0),
       fetch_limit_(cfg.core.fetch_width) {}
 
-bool Core::deps_ready(std::uint64_t seq, const MicroOp& op) const {
+bool Core::deps_ready(std::uint64_t seq, const MicroOp& op,
+                      Cycle now) const {
   // seq < head_seq_ + dist <=> seq - dist < head_seq_: the producer is
   // already committed (and the test also guards the unsigned underflow).
   const std::uint8_t d1 = op.dep1;
   if (d1 != 0 && seq >= head_seq_ + d1 &&
-      !rob_[rob_index(seq - d1)].completed) {
+      rob_[rob_index(seq - d1)].complete_at > now) {
     return false;
   }
   const std::uint8_t d2 = op.dep2;
   if (d2 != 0 && seq >= head_seq_ + d2 &&
-      !rob_[rob_index(seq - d2)].completed) {
+      rob_[rob_index(seq - d2)].complete_at > now) {
     return false;
   }
   return true;
@@ -69,8 +70,7 @@ void Core::process_completions(Cycle now) {
   while (!completions_.empty() && completions_.top().first <= now) {
     const std::uint64_t seq = completions_.top().second;
     completions_.pop();
-    RobEntry& e = entry(seq);
-    e.completed = true;
+    const RobEntry& e = entry(seq);
     if (e.op.blocks_generation) deliver_value(e.op);
     if (waiting_branch_resolve_ && seq == mispredict_seq_) {
       // The front end refills after resolution (14-stage pipeline).
@@ -86,7 +86,7 @@ void Core::do_commit(Cycle now) {
   for (std::uint32_t n = 0; n < cfg_.core.commit_width && rob_count_ > 0;
        ++n) {
     RobEntry& e = entry(head_seq_);
-    if (!e.completed || e.complete_at > now) break;
+    if (e.complete_at > now) break;
     // Power-token accounting at commit: base cost + ROB residency
     // (Section III.B). The PTHT stores the last execution's cost.
     const double residency =
@@ -103,25 +103,32 @@ void Core::do_commit(Cycle now) {
   }
 }
 
+void Core::append_unissued(std::uint64_t seq) {
+  entry(seq).next_unissued = kNoSeq;
+  (unissued_tail_ == kNoSeq ? unissued_head_
+                            : entry(unissued_tail_).next_unissued) = seq;
+  unissued_tail_ = seq;
+}
+
 void Core::do_issue(Cycle now) {
   fus_.begin_cycle();
-  // Advance the cursor past committed/issued prefix.
-  if (issue_cursor_ < head_seq_) issue_cursor_ = head_seq_;
-  while (issue_cursor_ < head_seq_ + rob_count_ &&
-         entry(issue_cursor_).issued) {
-    ++issue_cursor_;
-  }
-  std::uint32_t issued = 0;
+  issue_cursor_ = unissued_head_ != kNoSeq ? unissued_head_
+                                           : head_seq_ + rob_count_;
+  const std::uint64_t window_end = issue_cursor_ + kIssueScanWindow;
   const std::uint32_t issue_width = cfg_.core.issue_width;
-  const std::uint64_t tail = head_seq_ + rob_count_;
-  const std::uint64_t scan_end =
-      std::min(tail, issue_cursor_ + kIssueScanWindow);
-  for (std::uint64_t seq = issue_cursor_;
-       seq < scan_end && issued < issue_width; ++seq) {
+  std::uint32_t issued = 0;
+  // Walk the unissued list oldest first; kNoSeq ends it (it is larger
+  // than any window end).
+  std::uint64_t prev = kNoSeq;  // last op walked past, still unissued
+  for (std::uint64_t seq = unissued_head_;
+       seq < window_end && issued < issue_width;) {
     RobEntry& e = entry(seq);
-    if (e.issued) continue;
-    if (!deps_ready(seq, e.op)) continue;
-    if (!fus_.try_issue(e.op.cls)) continue;
+    const std::uint64_t next = e.next_unissued;
+    if (!deps_ready(seq, e.op, now) || !fus_.try_issue(e.op.cls)) {
+      prev = seq;
+      seq = next;
+      continue;
+    }
 
     Cycle complete_at;
     if (e.op.is_memory()) {
@@ -141,10 +148,19 @@ void Core::do_issue(Cycle now) {
     } else {
       complete_at = now + fus_.latency(e.op.cls);
     }
-    e.issued = true;
+    // Readiness and commit test complete_at <= now, which must not hold
+    // during the issuing tick.
+    PTB_ASSERT(complete_at > now, "op completes in its own issue cycle");
     e.complete_at = complete_at;
-    completions_.emplace(complete_at, seq);
+    if (e.op.blocks_generation ||
+        (waiting_branch_resolve_ && seq == mispredict_seq_)) {
+      completions_.emplace(complete_at, seq);
+    }
     ++issued;
+
+    (prev == kNoSeq ? unissued_head_ : entry(prev).next_unissued) = next;
+    if (next == kNoSeq) unissued_tail_ = prev;
+    seq = next;
   }
 }
 
@@ -215,8 +231,7 @@ void Core::do_fetch(Cycle now) {
     e.op = op;
     e.dispatched_at = now;
     e.complete_at = kNeverCycle;
-    e.issued = false;
-    e.completed = false;
+    append_unissued(seq);
     ++rob_count_;
     if (op.is_memory()) ++lsq_count_;
     ++fetched;
@@ -252,12 +267,13 @@ std::string Core::debug_string(Cycle now) const {
   std::snprintf(
       buf, sizeof(buf),
       "core%u rob=%u lsq=%u progfin=%d pend=%d fblock=%llu wbr=%d "
-      "head={cls=%d issued=%d done=%d at=%llu} now=%llu",
+      "head={cls=%d issued=%d at=%llu} now=%llu",
       id_, rob_count_, lsq_count_, program_finished_ ? 1 : 0,
       has_pending_op_ ? 1 : 0,
       static_cast<unsigned long long>(fetch_blocked_until_),
-      waiting_branch_resolve_ ? 1 : 0, head ? static_cast<int>(head->op.cls) : -1,
-      head ? head->issued : 0, head ? head->completed : 0,
+      waiting_branch_resolve_ ? 1 : 0,
+      head ? static_cast<int>(head->op.cls) : -1,
+      head && head->complete_at != kNeverCycle ? 1 : 0,
       head ? static_cast<unsigned long long>(head->complete_at) : 0,
       static_cast<unsigned long long>(now));
   return buf;
@@ -315,11 +331,10 @@ void Core::save_state(ByteWriter& w) const {
     save_microop(w, e.op);
     w.u64(e.dispatched_at);
     w.u64(e.complete_at);
-    w.boolean(e.issued);
-    w.boolean(e.completed);
   }
-  // Completion events, drained from a copy in heap order: pop order is a
-  // deterministic function of the (cycle, seq) keys, which are unique.
+  // Side-effect completion events, drained from a copy in heap order: pop
+  // order is a deterministic function of the (cycle, seq) keys, which are
+  // unique. The unissued list is not stored; load_state rebuilds it.
   {
     auto copy = completions_;
     w.u64(copy.size());
@@ -363,13 +378,14 @@ void Core::load_state(ByteReader& r) {
   for (RobEntry& e : rob_) e = RobEntry{};
   rob_count_ = nrob;
   lsq_count_ = nlsq;
+  unissued_head_ = kNoSeq;
+  unissued_tail_ = kNoSeq;
   for (std::uint64_t s = head_seq_; s < head_seq_ + rob_count_; ++s) {
     RobEntry& e = rob_[rob_index(s)];
     if (!load_microop(r, e.op)) return;
     e.dispatched_at = r.u64();
     e.complete_at = r.u64();
-    e.issued = r.boolean();
-    e.completed = r.boolean();
+    if (e.complete_at == kNeverCycle) append_unissued(s);
   }
   completions_ = decltype(completions_)();
   const std::uint64_t nc = r.u64();

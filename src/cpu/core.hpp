@@ -113,17 +113,25 @@ class Core {
   void load_state(ByteReader& r);
 
  private:
+  // Sequence-number sentinel: the end of the unissued list.
+  static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+
   struct RobEntry {
     MicroOp op;
     Cycle dispatched_at = 0;
+    // Set at issue, always to a later cycle than the issuing tick;
+    // kNeverCycle while unissued. The result is ready (for dependents and
+    // for commit) at any tick with complete_at <= now.
     Cycle complete_at = kNeverCycle;
-    bool issued = false;
-    bool completed = false;
+    // While unissued: the seq of the next younger unissued op (kNoSeq at
+    // the list tail). Meaningless once issued.
+    std::uint64_t next_unissued = kNoSeq;
   };
 
   /// ROB slot for a sequence number. rob_entries is a power of two in every
-  /// shipped config, making the wraparound a single AND; the hardware
-  /// divide in the generic path dominated the issue-scan profile.
+  /// shipped config, making the wraparound a single AND; every dependency
+  /// check and every unissued-list step maps a seq to its slot, and the
+  /// hardware divide of the generic path would sit on both.
   std::size_t rob_index(std::uint64_t seq) const {
     return rob_mask_ != 0 ? (seq & rob_mask_) : (seq % rob_.size());
   }
@@ -162,7 +170,8 @@ class Core {
   void do_issue(Cycle now);
   void do_fetch(Cycle now);
   void deliver_value(const MicroOp& op);
-  bool deps_ready(std::uint64_t seq, const MicroOp& op) const;
+  void append_unissued(std::uint64_t seq);
+  bool deps_ready(std::uint64_t seq, const MicroOp& op, Cycle now) const;
 
   CoreId id_;
   const SimConfig& cfg_;
@@ -182,6 +191,15 @@ class Core {
   std::uint32_t rob_count_ = 0;
   std::uint32_t lsq_count_ = 0;  // memory ops resident in the ROB
 
+  // Unissued ops in age order, threaded through the ROB slots
+  // (RobEntry::next_unissued): appended at dispatch, unlinked at issue, so
+  // the issue stage visits only ops that may still issue. kNoSeq when empty.
+  std::uint64_t unissued_head_ = kNoSeq;
+  std::uint64_t unissued_tail_ = kNoSeq;
+
+  // Completions with side effects, popped in (cycle, seq) order: blocking
+  // ops (value delivery to the program) and the mispredicted branch
+  // (front-end refill). Every other op is complete by its complete_at alone.
   using CompletionEvent = std::pair<Cycle, std::uint64_t>;  // (cycle, seq)
   std::priority_queue<CompletionEvent, std::vector<CompletionEvent>,
                       std::greater<>>
@@ -206,7 +224,8 @@ class Core {
 
   std::array<BaseCost, kBaseCostEntries> base_costs_{};
 
-  // Issue scan cursor: the oldest sequence number that may be unissued.
+  // Oldest unissued sequence number when the last issue stage began (the
+  // ROB tail when none was unissued); the issue window starts here.
   std::uint64_t issue_cursor_ = 0;
 };
 

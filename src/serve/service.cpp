@@ -283,6 +283,7 @@ void Service::worker_loop() {
     const double blocked = u.blocked_ms;
     const double picked = u.picked_ms;
     const std::size_t unit_index = ref.unit_index;
+    while (opts_.park_workers_until_stop && !stopping_) work_cv_.wait(lock);
     lock.unlock();
 
     SpanRecorder* rec = spans_.get();

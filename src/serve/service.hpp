@@ -63,6 +63,11 @@ struct ServiceOptions {
   double stream_heartbeat_ms = 5000.0;  // events-stream keepalive cadence
   std::string log_file;                 // --log-file: "" = off, "-" = stderr
   LogLevel log_level = LogLevel::kInfo;  // --log-level
+
+  // Test hook, no command-line switch: a worker that has picked a unit
+  // parks before simulating it until stop() begins, so a drain test sees
+  // one unit running and the rest queued however fast the simulator is.
+  bool park_workers_until_stop = false;
 };
 
 class Service {

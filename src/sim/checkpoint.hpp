@@ -42,7 +42,10 @@ namespace ptb {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x43425450u;  // "PTBC" LE
 // 2: per-core pipeline state no longer carries an in-flight sync-op count.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+// 3: ROB entries drop their issued/completed flags (complete_at alone says
+//    both) and the completion events hold only blocking ops and the
+//    mispredicted branch.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Section tags. Values are part of the on-disk format: never renumber,
 /// only append. Restore skips tags it does not know.

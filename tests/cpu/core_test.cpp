@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "mem/memory_system.hpp"
@@ -53,13 +54,40 @@ MicroOp alu(Pc pc, std::uint8_t dep = 0) {
   return op;
 }
 
-MicroOp load(Pc pc, Addr a) {
+MicroOp load(Pc pc, Addr a, std::uint8_t dep = 0) {
   MicroOp op;
   op.pc = pc;
   op.cls = OpClass::kLoad;
   op.addr = a;
+  op.dep1 = dep;
   return op;
 }
+
+/// Plays back a fixed op list without stalling on blocking ops, and records
+/// the core's pipeline state each time a value is delivered.
+class ProbeProgram final : public ThreadProgram {
+ public:
+  explicit ProbeProgram(std::vector<MicroOp> ops) : ops_(std::move(ops)) {}
+
+  FetchStatus next(MicroOp& out) override {
+    if (pos_ >= ops_.size()) return FetchStatus::kFinished;
+    out = ops_[pos_++];
+    return FetchStatus::kOp;
+  }
+
+  void on_value(const MicroOp&, std::uint64_t) override {
+    if (core_ != nullptr) seen_at_value_.push_back(core_->debug_string(0));
+  }
+
+  bool finished() const override { return pos_ >= ops_.size(); }
+
+  const Core* core_ = nullptr;
+  std::vector<std::string> seen_at_value_;
+
+ private:
+  std::vector<MicroOp> ops_;
+  std::size_t pos_ = 0;
+};
 
 class CoreTest : public ::testing::Test {
  protected:
@@ -81,9 +109,9 @@ class CoreTest : public ::testing::Test {
     }
   }
 
-  /// Runs the core until finished or `max` cycles.
-  Cycle run_to_completion(Core& core, Cycle max = 100000) {
-    Cycle t = 0;
+  /// Runs the core from cycle `from` until finished or cycle `max`.
+  Cycle run_to_completion(Core& core, Cycle max = 100000, Cycle from = 0) {
+    Cycle t = from;
     for (; t < max && !core.finished(); ++t) core.tick(t);
     return t;
   }
@@ -245,6 +273,144 @@ TEST_F(CoreTest, RobOccupancyBounded) {
   }
   EXPECT_LE(max_occ, cfg_.core.rob_entries);
   EXPECT_GT(max_occ, cfg_.core.lsq_entries / 2);  // misses do back it up
+}
+
+// Issue is out of order: a load waiting on a cold miss does not hold back
+// the independent loads behind it.
+TEST_F(CoreTest, YoungerIndependentOpsIssueAroundStalledLoad) {
+  std::vector<MicroOp> ops;
+  ops.push_back(load(0x1000, 0x200000));          // cold miss
+  ops.push_back(load(0x1004, 0x300000, 1));       // waits on the miss
+  for (int i = 0; i < 3; ++i)
+    ops.push_back(load(0x1008 + i * 4, 0x400000 + i * 4096));
+  ScriptProgram prog(ops);
+  Core core(0, cfg_, mem_, sync_, prog, energy_);
+  warm_code(0, 0x1000, 64);
+  for (Cycle t = 0; t < 20; ++t) core.tick(t);
+  EXPECT_EQ(mem_.loads, 4u);  // all but the stalled load issued
+  EXPECT_EQ(core.committed, 0u);
+  run_to_completion(core, 100000, 20);
+  EXPECT_EQ(mem_.loads, 5u);
+  EXPECT_EQ(core.committed, 5u);
+}
+
+// The issue window spans 32 sequence numbers from the oldest unissued op:
+// the op 31 slots past it issues, the one 32 slots past it waits.
+TEST_F(CoreTest, IssueWindowEndsThirtyTwoSlotsPastOldestUnissued) {
+  std::vector<MicroOp> ops;
+  ops.push_back(load(0x1000, 0x200000));     // seq 0: cold miss
+  ops.push_back(load(0x1004, 0x300000, 1));  // seq 1: oldest unissued
+  for (int i = 0; i < 30; ++i)               // seqs 2..31: stalled chain
+    ops.push_back(alu(0x1008 + i * 4, 1));
+  ops.push_back(load(0x1080, 0x400000));     // seq 32: inside the window
+  ops.push_back(load(0x1084, 0x500000));     // seq 33: outside it
+  ScriptProgram prog(ops);
+  Core core(0, cfg_, mem_, sync_, prog, energy_);
+  warm_code(0, 0x1000, 0x100);
+  for (Cycle t = 0; t < 60; ++t) core.tick(t);
+  EXPECT_EQ(core.rob_occupancy(), 34u);
+  EXPECT_EQ(mem_.loads, 2u);  // seq 0 and seq 32
+  run_to_completion(core, 100000, 60);
+  EXPECT_EQ(mem_.loads, 4u);
+  EXPECT_EQ(core.committed, 34u);
+}
+
+// Under frequency scaling the CMP skips core ticks. A producer whose
+// result arrives on a skipped cycle feeds its consumer at the next tick.
+TEST_F(CoreTest, ProducerCompletingOnSkippedCycleReadyAtNextTick) {
+  MicroOp mul;
+  mul.pc = 0x1000;
+  mul.cls = OpClass::kIntMult;  // 3 cycles: issued at 2, done at 5
+  ScriptProgram prog({mul, load(0x1004, 0x200000, 1)});
+  Core core(0, cfg_, mem_, sync_, prog, energy_);
+  warm_code(0, 0x1000, 64);
+  core.tick(0);  // dispatch
+  core.tick(2);  // the multiply issues
+  core.tick(4);
+  EXPECT_EQ(mem_.loads, 0u);
+  EXPECT_EQ(core.committed, 0u);
+  core.tick(6);  // cycle 5 was skipped
+  EXPECT_EQ(mem_.loads, 1u);
+  EXPECT_EQ(core.committed, 1u);
+}
+
+// A blocking op and the mispredicted branch behind it resolve in the same
+// cycle; the blocking op's value is delivered first (sequence order), while
+// the branch is still unresolved.
+TEST_F(CoreTest, SameCycleBlockingOpAndMispredictResolveInSeqOrder) {
+  MicroOp blocking = alu(0x1000);
+  blocking.blocks_generation = true;
+  MicroOp br;
+  br.pc = 0x1004;
+  br.cls = OpClass::kBranch;
+  br.branch_taken = true;  // cold gshare predicts not-taken -> mispredict
+  ProbeProgram prog({blocking, br, alu(0x1008)});
+  Core core(0, cfg_, mem_, sync_, prog, energy_);
+  prog.core_ = &core;
+  warm_code(0, 0x1000, 64);
+  core.tick(0);  // dispatch both; fetch stops at the mispredict
+  core.tick(1);  // both issue, both done at cycle 2
+  EXPECT_TRUE(prog.seen_at_value_.empty());
+  EXPECT_NE(core.debug_string(1).find("wbr=1"), std::string::npos);
+  core.tick(2);
+  ASSERT_EQ(prog.seen_at_value_.size(), 1u);
+  EXPECT_NE(prog.seen_at_value_[0].find("wbr=1"), std::string::npos)
+      << prog.seen_at_value_[0];
+  EXPECT_NE(core.debug_string(2).find("wbr=0"), std::string::npos);
+  EXPECT_EQ(core.committed, 2u);
+  const Cycle t = run_to_completion(core, 100000, 3);
+  EXPECT_EQ(core.committed, 3u);
+  EXPECT_GE(t, 2u + cfg_.core.pipeline_stages);  // refill after resolve
+}
+
+// A core saved with ops in flight (issued and waiting, unissued behind
+// them) reloads into the same state: saving the reloaded core gives the
+// same bytes, and, given a copy of the memory system, it then runs tick
+// for tick like the original (which needs the unissued ops relinked).
+TEST_F(CoreTest, SaveLoadWithOpsInFlightResumesIdentically) {
+  std::vector<MicroOp> ops;
+  ops.push_back(load(0x1000, 0x200000));     // cold miss, in flight
+  ops.push_back(load(0x1004, 0x300000, 1));  // unissued behind it
+  for (int i = 0; i < 6; ++i) ops.push_back(alu(0x1008 + i * 4, 1));
+  ops.push_back(load(0x1020, 0x400000));     // independent, in flight
+  ScriptProgram p1(ops);
+  Core a(0, cfg_, mem_, sync_, p1, energy_);
+  warm_code(0, 0x1000, 64);
+  for (Cycle t = 0; t < 10; ++t) a.tick(t);
+  ASSERT_EQ(a.rob_occupancy(), 9u);
+  ASSERT_EQ(mem_.loads, 2u);
+  ByteWriter w1, wm;
+  a.save_state(w1);
+  const std::string bytes = w1.take();
+  mesh_.save_state(wm);
+  mem_.save_state(wm);
+  const std::string mem_bytes = wm.take();
+
+  // The whole program is in the ROB, so the copy's program is empty.
+  Mesh mesh2(cfg_.noc, 2, 1);
+  MemorySystem mem2(cfg_, mesh2);
+  ByteReader rm(mem_bytes);
+  mesh2.load_state(rm);
+  mem2.load_state(rm);
+  ASSERT_TRUE(rm.ok());
+  ScriptProgram p2({});
+  Core b(0, cfg_, mem2, sync_, p2, energy_);
+  ByteReader r(bytes);
+  b.load_state(r);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+  ByteWriter w2;
+  b.save_state(w2);
+  EXPECT_EQ(w2.take(), bytes);
+
+  for (Cycle t = 10; t < 100000 && !(a.finished() && b.finished()); ++t) {
+    a.tick(t);
+    b.tick(t);
+    ASSERT_EQ(b.debug_string(t), a.debug_string(t));
+    ASSERT_EQ(b.committed, a.committed);
+  }
+  EXPECT_TRUE(b.finished());
+  EXPECT_EQ(b.committed, 9u);
 }
 
 }  // namespace

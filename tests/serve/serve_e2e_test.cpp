@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <string>
 #include <thread>
@@ -78,6 +79,33 @@ HttpResponse must_request(std::uint16_t port, const std::string& method,
       http_request("127.0.0.1", port, method, target, body, {}, resp, err))
       << method << " " << target << ": " << err;
   return resp;
+}
+
+// Raw loopback connection for wire-level cases the structured client
+// cannot express; -1 when the connect fails.
+int connect_local(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+void send_bytes(int fd, const std::string& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
 }
 
 // The acceptance test: byte-identical answers from the persistent cache
@@ -357,10 +385,13 @@ TEST(ServeE2E, EventsStreamGetsAbortedOnDrain) {
   // One worker, two long units: unit 0 is still simulating and unit 1
   // still queued when the server drains. stop() must fail the queued unit
   // and emit a terminal "aborted" event so the open stream closes instead
-  // of hanging until the client gives up (the satellite contract).
+  // of hanging until the client gives up (the satellite contract). The
+  // worker parks on unit 0 until the drain begins, so that state holds
+  // however fast the simulator is.
   ServiceOptions opts = test_opts(fresh_cache_dir("aborted"));
   opts.sim_workers = 1;
   opts.host_tokens = 1;
+  opts.park_workers_until_stop = true;
   Server server(opts, "127.0.0.1", 0, 2);
   std::string err;
   ASSERT_TRUE(server.start(err)) << err;
@@ -378,19 +409,40 @@ TEST(ServeE2E, EventsStreamGetsAbortedOnDrain) {
   ASSERT_NE(jobp, nullptr);
   const std::string job = *jobp;
 
+  // The stream is attached once its response head arrives: the server
+  // sends the head just before it starts following the job's feed.
   const std::uint16_t port = server.port();
   std::string stream_body;
+  std::promise<void> attached;
   std::thread streamer([&] {
-    HttpResponse resp;
+    std::string raw;
+    std::size_t head_end = std::string::npos;
+    const int fd = connect_local(port);
+    if (fd >= 0) {
+      send_bytes(fd, "GET /v1/jobs/" + job +
+                         "/events HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n");
+      char buf[4096];
+      ssize_t n;
+      while (head_end == std::string::npos &&
+             (n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+        raw.append(buf, static_cast<std::size_t>(n));
+        head_end = raw.find("\r\n\r\n");
+      }
+      attached.set_value();
+      while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+        raw.append(buf, static_cast<std::size_t>(n));
+      }
+      ::close(fd);
+    } else {
+      attached.set_value();
+    }
     std::string serr;
-    if (http_request("127.0.0.1", port, "GET", "/v1/jobs/" + job + "/events",
-                     "", {}, resp, serr)) {
-      stream_body = resp.body;
+    if (head_end != std::string::npos) {
+      http_dechunk(std::string_view(raw).substr(head_end + 4), stream_body,
+                   serr);
     }
   });
-  // Let the stream attach and unit 0 start; unit 1 (1.6M cycles behind a
-  // single worker) cannot have been picked up yet.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  attached.get_future().wait();
   server.stop();  // finishes unit 0, fails unit 1, aborts open feeds
   streamer.join();
 
@@ -560,24 +612,9 @@ TEST(ServeE2E, AccessLogWritesOneJsonLinePerRequest) {
 // express (here: a Content-Length the server must refuse to buffer).
 // Sends `bytes`, reads to EOF, returns everything the server answered.
 std::string raw_request(std::uint16_t port, const std::string& bytes) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_local(port);
   if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return "";
-  }
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) break;
-    sent += static_cast<std::size_t>(n);
-  }
+  send_bytes(fd, bytes);
   std::string out;
   char buf[4096];
   ssize_t n;

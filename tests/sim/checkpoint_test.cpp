@@ -271,6 +271,47 @@ TEST(CheckpointRestore, MidRunResumeBitIdenticalThrifty) {
                   PtbPolicy::kToAll, 0.0});
 }
 
+// Save -> restore -> save is the identity on a mid-run frame: every
+// per-core field written (ROB entries with in-flight and unissued ops, the
+// pending completion events, the issue cursor) reads back to the same
+// bytes, including the unissued list rebuilt from the ROB.
+TEST(CheckpointRestore, MidRunFrameResavesByteIdentical) {
+  const WorkloadProfile p = small_profile();
+  const SimConfig cfg = make_sim_config(4, ptb_spec());
+  const RunResult full = CmpSimulator(cfg, p).run();
+  for (const Cycle at : {full.cycles / 3, full.cycles / 2}) {
+    SCOPED_TRACE(at);
+    const std::string first = capture_at(p, cfg, at);
+    ASSERT_FALSE(first.empty());
+    CmpSimulator sim(cfg, p);
+    std::string err;
+    ASSERT_TRUE(sim.restore_checkpoint(first, &err)) << err;
+    std::string second;
+    RunOptions opts;
+    opts.checkpoint_at = at;
+    opts.checkpoint_out = &second;
+    sim.run(opts);
+    EXPECT_EQ(first, second);
+  }
+}
+
+// A frame of the previous format (version 2: per-entry issued/completed
+// flags, every issued op in the event heap) is refused by version, before
+// any section is parsed.
+TEST(CheckpointRestore, PreviousVersionFrameRejected) {
+  const WorkloadProfile p = small_profile();
+  const SimConfig cfg = make_sim_config(4, ptb_spec());
+  std::string ckpt = capture_at(p, cfg, 500);
+  ASSERT_GE(ckpt.size(), 8u);
+  ASSERT_EQ(kCheckpointVersion, 3u);
+  ckpt[4] = 2;  // u32 version, little-endian, after the magic
+  CmpSimulator sim(cfg, p);
+  std::string err;
+  EXPECT_FALSE(sim.restore_checkpoint(ckpt, &err));
+  EXPECT_NE(err.find("unsupported checkpoint version 2"), std::string::npos)
+      << err;
+}
+
 // A restored simulator consumes its carry: the frame only redirects the
 // next run().
 TEST(CheckpointRestore, CarryConsumedBySingleRun) {

@@ -173,7 +173,9 @@ TEST(CmpSimulator, SingleCoreDegenerateCaseWorks) {
 // across the controller families (each exercises a different gating and
 // control path), so a loop restructuring that changes any emitted byte —
 // result, trace order or stats — fails here. A legitimate result change
-// must update the table and say why.
+// must update the table and say why. The rows with core overrides pin the
+// edges of the issue stage: a non-power-of-two ROB (the modulo slot path),
+// a single-issue core and a ROB smaller than the issue window.
 std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
   for (const unsigned char c : s) {
     h ^= c;
@@ -189,6 +191,8 @@ struct GoldenCase {
   bool gate_spinners;
   std::uint32_t cluster_size;
   std::uint64_t digest;
+  std::uint32_t rob_entries = 0;  // 0 = the default core
+  std::uint32_t issue_width = 0;  // 0 = the default core
 };
 
 TEST(CmpSimulator, GoldenCycleLoopDigests) {
@@ -218,6 +222,13 @@ TEST(CmpSimulator, GoldenCycleLoopDigests) {
       {"meeting", 16, meeting, false, 0, 0x53d611896db077dbull},
       {"ptb+2l(dyn)+gate", 16, ptb_dyn, true, 0, 0x9c3e187f19885c33ull},
       {"ptb+2l(dyn)+clustered", 16, ptb_dyn, false, 4, 0x97617d6a5675c9c5ull},
+      {"base+rob96", 4, base, false, 0, 0x1d71975ecaed9898ull, 96, 0},
+      {"ptb+2l(dyn)+rob96", 16, ptb_dyn, false, 0, 0xcee07650b6752eaeull, 96,
+       0},
+      {"base+issue1", 4, base, false, 0, 0x56e2c7a4911cd4e7ull, 0, 1},
+      {"dvfs+issue1", 4, dvfs, false, 0, 0x483e69e3c06fda5full, 0, 1},
+      {"base+rob8", 4, base, false, 0, 0x7ddccb84ee86b4c0ull, 8, 0},
+      {"thrifty+rob8", 4, thrifty, false, 0, 0x798e071a69e98e05ull, 8, 0},
   };
   const WorkloadProfile p = sync_heavy_profile();
   RunOptions opts;
@@ -230,6 +241,8 @@ TEST(CmpSimulator, GoldenCycleLoopDigests) {
     cfg.audit_level = AuditLevel::kOff;
     cfg.ptb.gate_spinners = c.gate_spinners;
     cfg.ptb.cluster_size = c.cluster_size;
+    if (c.rob_entries != 0) cfg.core.rob_entries = c.rob_entries;
+    if (c.issue_width != 0) cfg.core.issue_width = c.issue_width;
     const RunResult r = CmpSimulator(cfg, p).run(opts);
     ASSERT_FALSE(r.hit_max_cycles);
     ASSERT_NE(r.trace, nullptr);
