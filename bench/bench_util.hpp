@@ -50,9 +50,6 @@ struct BenchOptions {
   // cycles in detail and fast-forwards the rest. 0/0 (default) = off.
   std::uint64_t sample_detail = 0;
   std::uint64_t sample_period = 0;
-  // --warm-checkpoint-dir DIR: cache post-warmup simulator images on disk
-  // so repeated sweeps skip functional warmup.
-  std::string warm_checkpoint_dir;
   // --checkpoint-at CYC:PATH: capture a checkpoint of the reference run
   // (the --trace/--stats configuration) at cycle CYC and write it to PATH.
   std::uint64_t checkpoint_at = 0;
@@ -168,17 +165,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
                      argv[0]);
         std::exit(2);
       }
-    } else if (arg == "--warm-checkpoint-dir" ||
-               arg.rfind("--warm-checkpoint-dir=", 0) == 0) {
-      opts.warm_checkpoint_dir = arg.size() > 21 && arg[21] == '='
-                                     ? arg.substr(22)
-                                     : value("--warm-checkpoint-dir");
-      if (opts.warm_checkpoint_dir.empty()) {
-        std::fprintf(stderr,
-                     "%s: --warm-checkpoint-dir requires a directory\n",
-                     argv[0]);
-        std::exit(2);
-      }
     } else if (arg == "--checkpoint-at" ||
                arg.rfind("--checkpoint-at=", 0) == 0) {
       // CYC:PATH — the cycle is numeric, so the first ':' ends it and the
@@ -227,7 +213,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
           "          [--trace PATH[:CATS]] [--stats PATH[:EVERY]]\n"
           "          [--stats-format json|prom]\n"
           "          [--sample-windows DETAIL/PERIOD]\n"
-          "          [--warm-checkpoint-dir DIR]\n"
           "          [--checkpoint-at CYC:PATH] [--restore-from PATH]\n"
           "  --jobs N      worker threads for the run grid (default: all\n"
           "                hardware threads); results are identical for any N\n"
@@ -263,11 +248,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
           "                energy/AoPB are scaled back up from the detailed\n"
           "                windows. Approximate by design — numbers differ\n"
           "                from a full run, deterministically\n"
-          "  --warm-checkpoint-dir DIR\n"
-          "                cache post-warmup simulator images in DIR; later\n"
-          "                runs of the same machine/seed/benchmark restore\n"
-          "                the image instead of replaying functional warmup\n"
-          "                (results stay byte-identical)\n"
           "  --checkpoint-at CYC:PATH\n"
           "                capture a checkpoint of the reference run (the\n"
           "                --trace configuration) at cycle CYC, write the\n"
@@ -304,9 +284,6 @@ class BenchContext {
     // set before any run is submitted to the pool.
     set_default_audit_level(opts_.audit);
     set_default_sample_windows(opts_.sample_detail, opts_.sample_period);
-    if (!opts_.warm_checkpoint_dir.empty()) {
-      set_default_warm_checkpoint_dir(opts_.warm_checkpoint_dir);
-    }
     // The suite filter must be installed before anything materializes the
     // suite (the first benchmark_suite() call freezes it).
     if (!set_suite_filter(opts_.only)) {

@@ -112,9 +112,11 @@ void Core::append_unissued(std::uint64_t seq) {
 
 void Core::do_issue(Cycle now) {
   fus_.begin_cycle();
-  issue_cursor_ = unissued_head_ != kNoSeq ? unissued_head_
-                                           : head_seq_ + rob_count_;
-  const std::uint64_t window_end = issue_cursor_ + kIssueScanWindow;
+  // The issue window starts at the oldest unissued op (the ROB tail when
+  // none is unissued).
+  const std::uint64_t window_start =
+      unissued_head_ != kNoSeq ? unissued_head_ : head_seq_ + rob_count_;
+  const std::uint64_t window_end = window_start + kIssueScanWindow;
   const std::uint32_t issue_width = cfg_.core.issue_width;
   std::uint32_t issued = 0;
   // Walk the unissued list oldest first; kNoSeq ends it (it is larger
@@ -351,7 +353,6 @@ void Core::save_state(ByteWriter& w) const {
   w.boolean(waiting_branch_resolve_);
   w.u64(mispredict_seq_);
   w.u32(fetch_limit_);
-  w.u64(issue_cursor_);
   w.u64(committed);
   w.u64(fetched);
   w.u64(flushes);
@@ -405,7 +406,6 @@ void Core::load_state(ByteReader& r) {
   waiting_branch_resolve_ = r.boolean();
   mispredict_seq_ = r.u64();
   fetch_limit_ = r.u32();
-  issue_cursor_ = r.u64();
   committed = r.u64();
   fetched = r.u64();
   flushes = r.u64();

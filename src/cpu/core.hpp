@@ -223,10 +223,6 @@ class Core {
   std::uint32_t tick_rob_before_ = 0;  // ROB occupancy entering the tick
 
   std::array<BaseCost, kBaseCostEntries> base_costs_{};
-
-  // Oldest unissued sequence number when the last issue stage began (the
-  // ROB tail when none was unissued); the issue window starts here.
-  std::uint64_t issue_cursor_ = 0;
 };
 
 }  // namespace ptb

@@ -33,8 +33,8 @@ constexpr std::size_t kMaxJobEvents = 256;
 // constructor, before any worker exists, so lazy per-name registration is
 // out).
 constexpr const char* kStageNames[] = {
-    "parse",        "queue_wait", "admission_wait", "cache_probe",
-    "warm_restore", "simulate",   "serialize",      "cache_publish",
+    "parse",    "queue_wait", "admission_wait", "cache_probe",
+    "simulate", "serialize",  "cache_publish",
 };
 
 std::string hex16(std::uint64_t v) {
@@ -108,32 +108,9 @@ void Service::register_metrics() {
                        [this] { return double(cache_.corrupt()); });
   registry_.counter_fn("serve.cache.stores", "disk cache entries written",
                        [this] { return double(cache_.stores()); });
-  // Warm-checkpoint traffic flows through the process-wide warm cache
-  // (set_default_warm_checkpoint_dir, consulted by run_one), a separate
-  // DiskRunCache object that may share this service's directory — so the
-  // warm counters read the singleton and evictions sum both objects.
   registry_.counter_fn("serve.cache.evicted",
                        "cache entries evicted to honor --cache-max-bytes",
-                       [this] {
-                         const DiskRunCache* w = default_warm_checkpoint_cache();
-                         return double(cache_.evicted() +
-                                       (w != nullptr ? w->evicted() : 0));
-                       });
-  registry_.counter_fn("serve.cache.warm_hits",
-                       "warm-checkpoint images restored from the cache", [] {
-                         const DiskRunCache* w = default_warm_checkpoint_cache();
-                         return w != nullptr ? double(w->warm_hits()) : 0.0;
-                       });
-  registry_.counter_fn("serve.cache.warm_misses",
-                       "warm-checkpoint lookups that missed", [] {
-                         const DiskRunCache* w = default_warm_checkpoint_cache();
-                         return w != nullptr ? double(w->warm_misses()) : 0.0;
-                       });
-  registry_.counter_fn("serve.cache.warm_stores",
-                       "warm-checkpoint images written to the cache", [] {
-                         const DiskRunCache* w = default_warm_checkpoint_cache();
-                         return w != nullptr ? double(w->warm_stores()) : 0.0;
-                       });
+                       [this] { return double(cache_.evicted()); });
   registry_.gauge_fn("serve.queue.depth", "units queued, not yet running",
                      [this] { return double(queue_depth_.load()); }, 0);
   registry_.gauge_fn("serve.jobs.in_flight", "simulations running now",
@@ -317,39 +294,24 @@ void Service::worker_loop() {
       stage_ms.emplace_back("admission_wait", s.end_ms - s.start_ms);
     }
 
-    // Host-stage observer: a LIFO stack of open stages makes nesting
-    // (warm_restore inside simulate) parent naturally.
-    struct StageOpen {
-      std::string name;
-      double begin_ms;
-      std::uint32_t span_id;
-    };
-    std::vector<StageOpen> open;
+    // Host-stage observer: cached_run_payload's stages run one after
+    // another, never nested, so each one is a direct child of the root.
+    ServeSpan open;
     RunObserver observer;
     const RunObserver* obs_ptr = nullptr;
     if (tracing) {
       observer.stage_enter = [&](std::string_view stage) {
-        open.push_back(
-            StageOpen{std::string(stage), now_ms(), rec->next_span_id()});
+        open.trace_id = trace_id;
+        open.span_id = rec->next_span_id();
+        open.parent_id = root_span;
+        open.name = stage;
+        open.start_ms = now_ms();
       };
-      observer.stage_exit = [&](std::string_view stage) {
-        // Stages strictly nest; unwinding to the named stage tolerates a
-        // producer that misses an inner end on an error path.
-        while (!open.empty()) {
-          const StageOpen top = std::move(open.back());
-          open.pop_back();
-          ServeSpan s;
-          s.trace_id = trace_id;
-          s.span_id = top.span_id;
-          s.parent_id = open.empty() ? root_span : open.back().span_id;
-          s.name = top.name;
-          s.start_ms = top.begin_ms;
-          s.end_ms = now_ms();
-          rec->emit(s);
-          record_stage(top.name, s.end_ms - s.start_ms);
-          stage_ms.emplace_back(top.name, s.end_ms - s.start_ms);
-          if (top.name == stage) break;
-        }
+      observer.stage_exit = [&](std::string_view) {
+        open.end_ms = now_ms();
+        rec->emit(open);
+        record_stage(open.name, open.end_ms - open.start_ms);
+        stage_ms.emplace_back(open.name, open.end_ms - open.start_ms);
       };
       obs_ptr = &observer;
     }

@@ -1,13 +1,9 @@
 // Full-state checkpoint frames for CmpSimulator (byte-stable, corrupt-
-// rejecting), the substrate under:
-//
-//   * restore-exactness: a run restored from a mid-run checkpoint produces
-//     the same RunResult bytes as the uninterrupted run (asserted by
-//     tests/sim/checkpoint_test.cpp);
-//   * warm forking: a cycle-0 checkpoint taken right after functional
-//     warmup is technique/budget-independent, so a sweep forks its N policy
-//     points from one shared warmed image instead of re-warming N times
-//     (sim/experiment.hpp wires this through the disk run cache).
+// rejecting). Restore-exactness is the contract: a run restored from a
+// mid-run checkpoint produces the same RunResult bytes as the
+// uninterrupted run (asserted by tests/sim/checkpoint_test.cpp), which
+// makes the frame the completeness oracle for every component's
+// save/restore hooks.
 //
 // Frame layout, following the trace subsystem's serialization idiom
 // (little-endian, fields written individually — never structs, padding is
@@ -15,7 +11,7 @@
 //
 //   u32 magic "PTBC"   u32 version   u64 payload_len   u64 fnv1a(payload)
 //   payload:
-//     u64 checkpoint_fingerprint     (cache key: machine+seed+bench+cycle)
+//     u64 checkpoint_fingerprint     (machine+seed+bench+cycle digest)
 //     u64 machine_fingerprint        u64 config_fingerprint
 //     u64 seed   u32 num_cores   u64 cycle   str benchmark
 //     u64 num_sections
@@ -45,7 +41,9 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x43425450u;  // "PTBC" LE
 // 3: ROB entries drop their issued/completed flags (complete_at alone says
 //    both) and the completion events hold only blocking ops and the
 //    mispredicted branch.
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+// 4: the per-core section drops the issue cursor (the issue window is
+//    derived from the unissued list each cycle).
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// Section tags. Values are part of the on-disk format: never renumber,
 /// only append. Restore skips tags it does not know.
@@ -73,12 +71,10 @@ enum class CkptSection : std::uint32_t {
   kResPower,      // RunResult power traces (CMP + per-core TimeSeries)
 };
 
-/// Cache key for a checkpoint image: FNV-1a over (format version,
-/// machine_fingerprint, seed, benchmark, cycle). Deliberately *excludes*
-/// the technique/budget knobs — a cycle-0 post-warmup image is valid under
-/// any technique of the same machine+seed+benchmark, which is what makes
-/// one warmed image shareable across a whole sweep. Mid-run images
-/// (cycle != 0) additionally pin the full config_fingerprint at restore.
+/// Identity digest of a frame: FNV-1a over (format version,
+/// machine_fingerprint, seed, benchmark, cycle). It excludes the
+/// technique/budget knobs; restore pins those through the frame's full
+/// config_fingerprint.
 std::uint64_t checkpoint_fingerprint(const SimConfig& cfg,
                                      std::string_view benchmark, Cycle cycle);
 

@@ -47,9 +47,6 @@ struct SelfProfile {
 // checkpointed cycle, the CycleFrame persistents and the raw payloads of
 // sections whose targets (energy accounting, registry-owned histogram,
 // sample buffer, tracer, result power traces) only exist as run() locals.
-// Populated only for mid-run frames; a cycle-0 warm frame carries just the
-// cycle (everything run-scoped is at its freshly-constructed value there,
-// and the frame's eff_budget would pin the *donor's* budget).
 struct CmpSimulator::CheckpointCarry {
   Cycle cycle = 0;
   bool epoch_over = false;
@@ -200,24 +197,22 @@ bool CmpSimulator::restore_checkpoint(std::string_view bytes,
     return fail("checkpoint machine fingerprint mismatch");
   }
   if (h.seed != cfg_.seed) return fail("checkpoint seed mismatch");
-  if (h.cycle != 0 && h.config_fp != config_fingerprint(cfg_)) {
+  if (h.config_fp != config_fingerprint(cfg_)) {
     return fail(
-        "checkpoint config fingerprint mismatch: a mid-run frame resumes "
-        "only under the exact config it was captured with (cycle-0 warm "
-        "frames restore across techniques)");
+        "checkpoint config fingerprint mismatch: a frame resumes only under "
+        "the exact config it was captured with");
   }
 
-  // Component sections load straight into the members. A section whose
-  // target does not exist under this configuration is skipped (a warm fork
-  // into a different technique); a section that exists but fails to parse
-  // or leaves trailing bytes rejects the restore.
+  // Component sections load straight into the members. The config
+  // fingerprint matched, so every section the writer emitted has its
+  // target here; a section for a component this config lacks, or one that
+  // fails to parse or leaves trailing bytes, rejects the restore.
   const auto load = [&](CkptSection tag, auto&& fn) -> bool {
     if (!ck.has_section(tag)) return true;
     ByteReader r(ck.section(tag));
     fn(r);
     return r.ok() && r.empty();
   };
-  const auto skip_rest = [](ByteReader& r) { r.raw(r.remaining()); };
 
   bool ok = true;
   ok = ok && load(CkptSection::kCores, [&](ByteReader& r) {
@@ -236,62 +231,62 @@ bool CmpSimulator::restore_checkpoint(std::string_view bytes,
     for (SpinTracker& t : trackers_) t.load_state(r);
   });
   ok = ok && load(CkptSection::kBalancer, [&](ByteReader& r) {
-    balancer_ ? balancer_->load_state(r) : skip_rest(r);
+    balancer_ ? balancer_->load_state(r) : r.fail();
   });
   ok = ok && load(CkptSection::kClustered, [&](ByteReader& r) {
-    clustered_ ? clustered_->load_state(r) : skip_rest(r);
+    clustered_ ? clustered_->load_state(r) : r.fail();
   });
   ok = ok && load(CkptSection::kEnforcers, [&](ByteReader& r) {
     for (auto& e : enforcers_) e->load_state(r);
   });
   ok = ok && load(CkptSection::kSelector, [&](ByteReader& r) {
-    selector_ ? selector_->load_state(r) : skip_rest(r);
+    selector_ ? selector_->load_state(r) : r.fail();
   });
   ok = ok && load(CkptSection::kGates, [&](ByteReader& r) {
     if (r.u64() != gate_detectors_.size()) {
-      skip_rest(r);  // different gating config: keep fresh detectors
+      r.fail();
       return;
     }
     for (SpinPowerDetector& d : gate_detectors_) d.load_state(r);
   });
   ok = ok && load(CkptSection::kThrifty, [&](ByteReader& r) {
-    thrifty_ ? thrifty_->load_state(r) : skip_rest(r);
+    thrifty_ ? thrifty_->load_state(r) : r.fail();
   });
   ok = ok && load(CkptSection::kMeeting, [&](ByteReader& r) {
-    meeting_ ? meeting_->load_state(r) : skip_rest(r);
+    meeting_ ? meeting_->load_state(r) : r.fail();
   });
   ok = ok && load(CkptSection::kThermal,
                   [&](ByteReader& r) { thermal_.load_state(r); });
 
   auto carry = std::make_unique<CheckpointCarry>();
   carry->cycle = h.cycle;
-  if (h.cycle != 0) {
-    ok = ok && load(CkptSection::kFrame, [&](ByteReader& r) {
-      r.f64_vec(carry->freq_acc);
-      r.f64_vec(carry->est_ema);
-      r.f64_vec(carry->act_ema);
-      r.f64_vec(carry->eff_budget);
-      r.f64_vec(carry->thermal_acc);
-      r.u8_vec(carry->finished);
-      if (carry->finished.size() != cfg_.num_cores ||
-          carry->freq_acc.size() != cfg_.num_cores) {
-        r.fail();
-      }
-    });
-    ok = ok && load(CkptSection::kRun, [&](ByteReader& r) {
-      carry->epoch_over = r.boolean();
-      carry->epoch_acc = r.f64();
-      carry->epoch_n = r.u32();
-      carry->spin_gated_cycles = r.u64();
-      carry->detailed_cycles = r.u64();
-      carry->prof_timed_cycles = r.u64();
-    });
-    carry->acct = std::string(ck.section(CkptSection::kAcct));
-    carry->hist = std::string(ck.section(CkptSection::kHist));
-    carry->samples = std::string(ck.section(CkptSection::kSamples));
-    carry->tracer = std::string(ck.section(CkptSection::kTracer));
-    carry->res_power = std::string(ck.section(CkptSection::kResPower));
-  }
+  // The CycleFrame persistents are indexed per core by run(): the section
+  // is mandatory and every vector must have one entry per core.
+  ok = ok && ck.has_section(CkptSection::kFrame) &&
+       load(CkptSection::kFrame, [&](ByteReader& r) {
+         const std::size_t n = cfg_.num_cores;
+         for (std::vector<double>* v :
+              {&carry->freq_acc, &carry->est_ema, &carry->act_ema,
+               &carry->eff_budget, &carry->thermal_acc}) {
+           r.f64_vec(*v);
+           if (v->size() != n) r.fail();
+         }
+         r.u8_vec(carry->finished);
+         if (carry->finished.size() != n) r.fail();
+       });
+  ok = ok && load(CkptSection::kRun, [&](ByteReader& r) {
+    carry->epoch_over = r.boolean();
+    carry->epoch_acc = r.f64();
+    carry->epoch_n = r.u32();
+    carry->spin_gated_cycles = r.u64();
+    carry->detailed_cycles = r.u64();
+    carry->prof_timed_cycles = r.u64();
+  });
+  carry->acct = std::string(ck.section(CkptSection::kAcct));
+  carry->hist = std::string(ck.section(CkptSection::kHist));
+  carry->samples = std::string(ck.section(CkptSection::kSamples));
+  carry->tracer = std::string(ck.section(CkptSection::kTracer));
+  carry->res_power = std::string(ck.section(CkptSection::kResPower));
   if (!ok) {
     return fail("checkpoint section payload rejected (corrupt or "
                 "incompatible with this configuration)");
@@ -560,55 +555,53 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
   // exist. Consumed so a later run() on this simulator starts fresh.
   if (carry_) {
     now = carry_->cycle;
-    if (carry_->cycle != 0) {
-      epoch_over = carry_->epoch_over;
-      epoch_acc = carry_->epoch_acc;
-      epoch_n = carry_->epoch_n;
-      res.spin_gated_cycles = carry_->spin_gated_cycles;
-      detailed_cycles = carry_->detailed_cycles;
-      prof.timed_cycles = carry_->prof_timed_cycles;
-      f.freq_acc = std::move(carry_->freq_acc);
-      f.est_ema = std::move(carry_->est_ema);
-      f.act_ema = std::move(carry_->act_ema);
-      f.eff_budget = std::move(carry_->eff_budget);
-      f.thermal_acc = std::move(carry_->thermal_acc);
-      f.finished = std::move(carry_->finished);
-      finished_count = 0;
-      for (CoreId i = 0; i < n; ++i) {
-        if (f.finished[i] != 0) {
-          ++finished_count;
-          res.cores[i].finish_cycle = cores_[i]->finish_cycle;
+    epoch_over = carry_->epoch_over;
+    epoch_acc = carry_->epoch_acc;
+    epoch_n = carry_->epoch_n;
+    res.spin_gated_cycles = carry_->spin_gated_cycles;
+    detailed_cycles = carry_->detailed_cycles;
+    prof.timed_cycles = carry_->prof_timed_cycles;
+    f.freq_acc = std::move(carry_->freq_acc);
+    f.est_ema = std::move(carry_->est_ema);
+    f.act_ema = std::move(carry_->act_ema);
+    f.eff_budget = std::move(carry_->eff_budget);
+    f.thermal_acc = std::move(carry_->thermal_acc);
+    f.finished = std::move(carry_->finished);
+    finished_count = 0;
+    for (CoreId i = 0; i < n; ++i) {
+      if (f.finished[i] != 0) {
+        ++finished_count;
+        res.cores[i].finish_cycle = cores_[i]->finish_cycle;
+      }
+    }
+    // Raw run-scoped payloads: applied when the matching consumer exists
+    // in this run; a mismatch (different RunOptions than the captured
+    // run) leaves the freshly-constructed state.
+    const auto apply = [](const std::string& bytes, auto&& fn) {
+      if (bytes.empty()) return;
+      ByteReader r(bytes);
+      fn(r);
+    };
+    apply(carry_->acct, [&](ByteReader& r) { acct.load_state(r); });
+    if (power_hist) {
+      apply(carry_->hist,
+            [&](ByteReader& r) { power_hist->load_state(r); });
+    }
+    if (samples) {
+      apply(carry_->samples,
+            [&](ByteReader& r) { samples->load_state(r); });
+    }
+    if (tracer) {
+      apply(carry_->tracer,
+            [&](ByteReader& r) { tracer->load_state(r); });
+    }
+    if (opts.record_cmp_trace || opts.record_core_traces) {
+      apply(carry_->res_power, [&](ByteReader& r) {
+        res.cmp_power_trace.load_state(r);
+        if (r.u64() == res.core_power_traces.size()) {
+          for (TimeSeries& t : res.core_power_traces) t.load_state(r);
         }
-      }
-      // Raw run-scoped payloads: applied when the matching consumer exists
-      // in this run; a mismatch (different RunOptions than the captured
-      // run) leaves the freshly-constructed state.
-      const auto apply = [](const std::string& bytes, auto&& fn) {
-        if (bytes.empty()) return;
-        ByteReader r(bytes);
-        fn(r);
-      };
-      apply(carry_->acct, [&](ByteReader& r) { acct.load_state(r); });
-      if (power_hist) {
-        apply(carry_->hist,
-              [&](ByteReader& r) { power_hist->load_state(r); });
-      }
-      if (samples) {
-        apply(carry_->samples,
-              [&](ByteReader& r) { samples->load_state(r); });
-      }
-      if (tracer) {
-        apply(carry_->tracer,
-              [&](ByteReader& r) { tracer->load_state(r); });
-      }
-      if (opts.record_cmp_trace || opts.record_core_traces) {
-        apply(carry_->res_power, [&](ByteReader& r) {
-          res.cmp_power_trace.load_state(r);
-          if (r.u64() == res.core_power_traces.size()) {
-            for (TimeSeries& t : res.core_power_traces) t.load_state(r);
-          }
-        });
-      }
+      });
     }
     carry_.reset();
   }

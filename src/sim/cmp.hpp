@@ -130,8 +130,8 @@ struct RunProgress {
 /// Host-side observation hooks for one run, threaded through RunOptions by
 /// the serve plane (ISSUE 10): `progress` fires from the cycle loop every
 /// `progress_every` cycles; `stage_enter`/`stage_exit` bracket named
-/// host-level stages around the run (warm-checkpoint restore in run_one,
-/// cache probe/simulate/serialize/publish in cached_run_payload). Hooks
+/// host-level stages around the run (cache probe/simulate/serialize/
+/// publish in cached_run_payload). Hooks
 /// observe only — a null observer (the default) costs one pointer test
 /// and results are byte-identical either way (tests/serve proves it).
 struct RunObserver {
@@ -163,9 +163,8 @@ struct RunOptions {
   /// The capture happens at the top of that cycle's loop body — before the
   /// cycle executes — so a run restored from the frame replays cycle
   /// `checkpoint_at` onward and finishes with bit-identical results.
-  /// 0 captures the warm point at loop entry (post functional warmup),
-  /// which is technique/budget-independent: one warmed frame forks a whole
-  /// sweep. No frame is written when the run ends before `checkpoint_at`.
+  /// 0 captures at loop entry (post functional warmup). No frame is
+  /// written when the run ends before `checkpoint_at`.
   Cycle checkpoint_at = kNeverCycle;
   /// Receives the checkpoint frame bytes; null disables capture.
   std::string* checkpoint_out = nullptr;
@@ -216,11 +215,10 @@ class CmpSimulator {
 
   /// Restores a checkpoint frame produced via RunOptions::checkpoint_at.
   /// Validates identity before touching any state: core count, benchmark,
-  /// machine fingerprint and seed must match; a mid-run frame (cycle != 0)
-  /// additionally pins the full config fingerprint, while a cycle-0 warm
-  /// frame restores under any technique/budget of the same machine.
-  /// The next run() then resumes from the checkpointed cycle (skipping
-  /// functional warmup). Returns false with a diagnostic in `*err` on any
+  /// machine fingerprint, seed and the full config fingerprint must match
+  /// (a frame resumes only the run it was captured from). The next run()
+  /// then resumes from the checkpointed cycle (skipping functional
+  /// warmup). Returns false with a diagnostic in `*err` on any
   /// rejected frame; the simulator may be partially mutated after a
   /// failure and must not be run (construct a fresh one).
   bool restore_checkpoint(std::string_view bytes, std::string* err = nullptr);

@@ -3,15 +3,19 @@
 // ptb-serve daemon.
 //
 // On-disk format, in the trace subsystem's explicit-little-endian,
-// corrupt-rejecting idiom (src/trace/trace.cpp): a 24-byte frame header
-// [magic "PTBR" | u32 format version | u64 payload length | u64 run key]
-// followed by the RunArtifact JSON payload bytes. Every field is checked on
-// read — wrong magic, foreign version, short/long payload or a key that
-// does not match the requested address all reject the entry (it is counted,
-// unlinked, and reads as a miss), so a truncated write or a bit-flip can
-// never serve wrong bytes; the caller re-simulates and the overwrite heals
-// the slot. Writes go to a unique temp file in the same directory and
-// rename() into place, so readers only ever see complete entries.
+// corrupt-rejecting idiom (src/trace/trace.cpp): a 32-byte frame header
+// [magic "PTBR" | u32 format version | u64 payload length | u64 run key |
+// u64 payload checksum] followed by the RunArtifact JSON payload bytes.
+// Every field is checked on read — wrong magic, foreign version,
+// short/long payload, a key that does not match the requested address or
+// a checksum that does not match the payload all reject the entry (it is
+// counted, unlinked, and reads as a miss), so a truncated write or a
+// bit-flip can never serve wrong bytes; the caller re-simulates and the
+// overwrite heals the slot. Version 1 frames (no checksum) read as
+// corrupt and re-simulate once. Writes go to a unique temp file in the
+// same directory and rename() into place, so readers only ever see
+// complete entries.
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -25,7 +29,6 @@
 #include "common/assert.hpp"
 #include "common/format.hpp"
 #include "common/json.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 #include "sim/reporting.hpp"
 #include "sim/trace_export.hpp"
@@ -36,8 +39,8 @@ namespace ptb {
 namespace {
 
 constexpr char kMagic[4] = {'P', 'T', 'B', 'R'};
-constexpr std::uint32_t kFrameVersion = 1;
-constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;
+constexpr std::uint32_t kFrameVersion = 2;
+constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 8;
 
 void put_u32(std::string& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i)
@@ -82,6 +85,42 @@ bool parse_hex16(const std::string& s, std::uint64_t& out) {
   }
   out = v;
   return true;
+}
+
+// Little-endian 64-bit load: one memcpy on little-endian hosts.
+std::uint64_t load_le64(const char* p) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+  } else {
+    return get_u64(p);
+  }
+}
+
+// Payload checksum: FNV-1a's xor-multiply step over little-endian 64-bit
+// words in four interleaved lanes (independent multiply chains, about four
+// times the throughput of one), the lanes folded together, then the tail
+// words and bytes. Each step is a bijection of its running value for a
+// fixed input, and so is the fold in each lane, so a change confined to
+// one word (every single-bit flip) always changes the result.
+std::uint64_t payload_checksum(std::string_view p) {
+  constexpr std::uint64_t kPrime = 0x100000001b3ull;
+  const char* q = p.data();
+  std::uint64_t a = 0xcbf29ce484222325ull, b = a, c = a, d = a;
+  std::size_t i = 0;
+  for (; i + 32 <= p.size(); i += 32) {
+    a = (a ^ load_le64(q + i)) * kPrime;
+    b = (b ^ load_le64(q + i + 8)) * kPrime;
+    c = (c ^ load_le64(q + i + 16)) * kPrime;
+    d = (d ^ load_le64(q + i + 24)) * kPrime;
+  }
+  std::uint64_t h = ((((a ^ b) * kPrime) ^ c) * kPrime ^ d) * kPrime;
+  for (; i + 8 <= p.size(); i += 8) h = (h ^ load_le64(q + i)) * kPrime;
+  for (; i < p.size(); ++i) {
+    h = (h ^ static_cast<unsigned char>(q[i])) * kPrime;
+  }
+  return h;
 }
 
 void fnv_mix_bytes(std::uint64_t& h, const void* data, std::size_t n) {
@@ -258,14 +297,11 @@ bool DiskRunCache::load(std::uint64_t key, std::string& payload) const {
   const std::uint64_t len = get_u64(raw.data() + 8);
   if (get_u64(raw.data() + 16) != key) return corrupt();
   if (raw.size() != kHeaderBytes + len) return corrupt();
-  // The payload must still be a valid schema-v1 artifact for this very
-  // key — framing alone cannot catch a payload-level bit flip.
+  const std::string_view body = std::string_view(raw).substr(kHeaderBytes);
+  if (get_u64(raw.data() + 24) != payload_checksum(body)) return corrupt();
+  // The payload must also be a valid schema-v1 artifact for this very key.
   RunArtifact a;
-  if (!RunArtifact::parse(
-          std::string_view(raw).substr(kHeaderBytes), a) ||
-      a.key != key) {
-    return corrupt();
-  }
+  if (!RunArtifact::parse(body, a) || a.key != key) return corrupt();
   payload = raw.substr(kHeaderBytes);
   hits_.fetch_add(1);
   return true;
@@ -278,6 +314,7 @@ bool DiskRunCache::store(std::uint64_t key, std::string_view payload) const {
   put_u32(framed, kFrameVersion);
   put_u64(framed, payload.size());
   put_u64(framed, key);
+  put_u64(framed, payload_checksum(payload));
   framed.append(payload.data(), payload.size());
 
   // Unique temp name per (process, store): concurrent writers of the same
@@ -306,51 +343,6 @@ bool DiskRunCache::store(std::uint64_t key, std::string_view payload) const {
 }
 
 // ---------------------------------------------------------------------------
-// Warm-checkpoint images
-// ---------------------------------------------------------------------------
-
-std::string DiskRunCache::warm_checkpoint_path(std::uint64_t ckpt_fp) const {
-  return dir_ + "/ckpt-" + hex16(ckpt_fp) + ".ptbc";
-}
-
-bool DiskRunCache::load_warm_checkpoint(std::uint64_t ckpt_fp,
-                                        std::string& frame) const {
-  const std::string path = warm_checkpoint_path(ckpt_fp);
-  std::string raw;
-  if (!read_file(path, raw)) {
-    warm_misses_.fetch_add(1);
-    return false;
-  }
-  // Full frame validation up front (magic/version/length/checksum) plus
-  // the address cross-check: the image must be the cycle-0 frame of the
-  // very fingerprint it is filed under. Anything else is corruption (or a
-  // foreign file) — count, unlink, heal on the next store.
-  CheckpointReader ck;
-  if (!ck.parse(raw) || ck.header().checkpoint_fp != ckpt_fp ||
-      ck.header().cycle != 0) {
-    corrupt_.fetch_add(1);
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    warm_misses_.fetch_add(1);
-    return false;
-  }
-  frame = std::move(raw);
-  warm_hits_.fetch_add(1);
-  return true;
-}
-
-bool DiskRunCache::store_warm_checkpoint(std::uint64_t ckpt_fp,
-                                         std::string_view frame) const {
-  std::string err;
-  if (!save_checkpoint_file(warm_checkpoint_path(ckpt_fp), frame, &err)) {
-    return false;
-  }
-  warm_stores_.fetch_add(1);
-  enforce_quota();
-  return true;
-}
-
-// ---------------------------------------------------------------------------
 // Size quota
 // ---------------------------------------------------------------------------
 
@@ -368,14 +360,11 @@ void DiskRunCache::enforce_quota() const {
   for (const auto& de : fs::directory_iterator(dir_, ec)) {
     if (ec) return;  // directory races with concurrent eviction: give up
     const std::string name = de.path().filename().string();
-    // Only our published entries participate: .run artifacts and
-    // ckpt-*.ptbc images. In-flight temp files (.tmp.*) are someone's
-    // pending publish, never reaped here.
-    const bool is_run = name.size() == 20 && name.ends_with(".run");
-    const bool is_ckpt =
-        name.size() == 26 && name.starts_with("ckpt-") &&
-        name.ends_with(".ptbc");
-    if (!is_run && !is_ckpt) continue;
+    // Only our published .run artifacts participate. In-flight temp files
+    // (.tmp.*) are someone's pending publish, never reaped here, and any
+    // other file (e.g. a ckpt-*.ptbc image an older daemon left behind)
+    // is not ours to count or evict.
+    if (name.size() != 20 || !name.ends_with(".run")) continue;
     std::error_code sec;
     const std::uint64_t size = de.file_size(sec);
     const fs::file_time_type mtime = de.last_write_time(sec);

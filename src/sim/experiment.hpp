@@ -70,23 +70,6 @@ void set_default_sample_windows(Cycle detail, Cycle period);
 Cycle default_sample_detail();
 Cycle default_sample_period();
 
-/// Process-wide warm-checkpoint directory (default "" = disabled). When
-/// set, run_one() answers the functional-warmup phase from a cached
-/// cycle-0 checkpoint image (ckpt-<fingerprint>.ptbc, managed by a
-/// DiskRunCache on this directory): the first run of each
-/// (machine, seed, benchmark) identity captures and publishes the warmed
-/// image, and every later run — any technique/budget of that identity —
-/// restores it instead of re-warming. The bench binaries set it from
-/// --warm-checkpoint-dir; ptb-serve points it at its run-cache directory
-/// so warm images persist across daemon restarts. Not thread-safe: set
-/// before submitting pool work.
-void set_default_warm_checkpoint_dir(std::string dir);
-const std::string& default_warm_checkpoint_dir();
-class DiskRunCache;
-/// The cache instance behind the directory above; null while disabled
-/// (exposed so ptb-serve can publish its warm hit/store counters).
-DiskRunCache* default_warm_checkpoint_cache();
-
 /// Figure-style normalization vs the no-control base case.
 struct Normalized {
   double energy_pct = 0.0;    // 100 * (E - E_base) / E_base
@@ -208,8 +191,8 @@ struct RunArtifact {
 /// Persistent, content-addressed run cache: RunArtifact payloads on disk,
 /// one file per run key (the config-fingerprint-derived run_key), written
 /// atomically (temp file + rename) and framed with a little-endian
-/// magic/version/length/key header in the trace subsystem's corrupt-
-/// rejecting idiom — a truncated, bit-flipped or foreign file fails
+/// magic/version/length/key/checksum header in the trace subsystem's
+/// corrupt-rejecting idiom — a truncated, bit-flipped or foreign file fails
 /// validation and reads as a miss (the caller re-simulates and the next
 /// store overwrites the bad entry).
 ///
@@ -262,34 +245,21 @@ class DiskRunCache {
 
   std::string path_for(std::uint64_t key) const;
 
-  /// Size quota in bytes over every entry in the directory (.run
-  /// artifacts and ckpt-*.ptbc warm-checkpoint images alike); 0 (default)
-  /// = unbounded. When a publish pushes the directory total over the
-  /// quota, entries are evicted oldest-first (last write time, filename
-  /// tie-break for determinism) until the total fits — the just-published
-  /// entry included when the quota is smaller than it. Evicted keys read
+  /// Size quota in bytes over the directory's .run artifacts (no other
+  /// file is counted or evicted); 0 (default) = unbounded. When a publish
+  /// pushes the .run total over the quota, artifacts are evicted
+  /// oldest-first (last write time, filename tie-break for determinism)
+  /// until the total fits — the just-published artifact included when the
+  /// quota is smaller than it. Evicted keys read
   /// as misses and simply re-simulate. Not thread-safe: set at
   /// construction time, before the cache is shared.
   void set_max_bytes(std::uint64_t max_bytes) { max_bytes_ = max_bytes; }
   std::uint64_t max_bytes() const { return max_bytes_; }
 
-  // Warm-checkpoint images (sim/checkpoint.hpp), addressed by cycle-0
-  // checkpoint_fingerprint and stored beside the .run artifacts as
-  // ckpt-<hex16>.ptbc. Same corrupt-rejecting contract as load/store: a
-  // truncated or bit-flipped image fails the frame checksum (or the
-  // fingerprint cross-check), is counted, unlinked and read as a miss.
-  bool load_warm_checkpoint(std::uint64_t ckpt_fp, std::string& frame) const;
-  bool store_warm_checkpoint(std::uint64_t ckpt_fp,
-                             std::string_view frame) const;
-  std::string warm_checkpoint_path(std::uint64_t ckpt_fp) const;
-
   std::uint64_t hits() const { return hits_.load(); }
   std::uint64_t misses() const { return misses_.load(); }
   std::uint64_t corrupt() const { return corrupt_.load(); }
   std::uint64_t stores() const { return stores_.load(); }
-  std::uint64_t warm_hits() const { return warm_hits_.load(); }
-  std::uint64_t warm_misses() const { return warm_misses_.load(); }
-  std::uint64_t warm_stores() const { return warm_stores_.load(); }
   std::uint64_t evicted() const { return evicted_.load(); }
 
  private:
@@ -302,9 +272,6 @@ class DiskRunCache {
   mutable std::atomic<std::uint64_t> misses_{0};
   mutable std::atomic<std::uint64_t> corrupt_{0};
   mutable std::atomic<std::uint64_t> stores_{0};
-  mutable std::atomic<std::uint64_t> warm_hits_{0};
-  mutable std::atomic<std::uint64_t> warm_misses_{0};
-  mutable std::atomic<std::uint64_t> warm_stores_{0};
   mutable std::atomic<std::uint64_t> evicted_{0};
 };
 
@@ -320,8 +287,7 @@ std::string cached_run_payload(const DiskRunCache& cache,
 /// Observed variant (ISSUE 10): identical semantics, counters and bytes,
 /// but brackets the pipeline's host-level stages through `observer` —
 /// "cache_probe" around the disk lookup, then on a miss "simulate"
-/// (run_one, which nests "warm_restore" when a warm-checkpoint image is
-/// consulted), "serialize" and "cache_publish" — and threads the observer
+/// (run_one), "serialize" and "cache_publish" — and threads the observer
 /// into RunOptions so its progress callback fires from the cycle loop.
 /// A null observer falls back to the plain overload above.
 std::string cached_run_payload(const DiskRunCache& cache,

@@ -11,8 +11,19 @@ namespace ptb {
 
 namespace {
 
-// 8-byte magic + version, the trace-frame idiom (trace/trace.cpp).
+// 8-byte magic + version, the trace-frame idiom (trace/trace.cpp), and a
+// trailing checksum over everything before it.
 constexpr char kMagic[8] = {'P', 'T', 'B', 'S', 'P', 'A', 'N', 'L'};
+constexpr std::size_t kChecksumBytes = 8;
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 // Serialized floor per span (fixed fields + two empty strings): used to
 // bound the span count against the remaining bytes before reserving.
@@ -75,10 +86,17 @@ std::string ServeSpanLog::serialize() const {
     w.str(s.name);
     w.str(s.note);
   }
-  return w.take();
+  std::string out = w.take();
+  ByteWriter sum;
+  sum.u64(fnv1a(out));
+  return out + sum.take();
 }
 
 bool ServeSpanLog::deserialize(std::string_view bytes, ServeSpanLog& out) {
+  if (bytes.size() < kChecksumBytes) return false;
+  ByteReader trailer(bytes.substr(bytes.size() - kChecksumBytes));
+  bytes.remove_suffix(kChecksumBytes);
+  if (trailer.u64() != fnv1a(bytes)) return false;
   ByteReader r(bytes);
   const std::string_view magic = r.raw(sizeof(kMagic));
   if (!r.ok() || magic != std::string_view(kMagic, sizeof(kMagic))) {

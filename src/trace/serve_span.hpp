@@ -2,9 +2,9 @@
 // daemon (src/serve/span.hpp records into it; `ptb-trace serve` renders it).
 //
 // A span is one timed stage of one HTTP request — parse, queue_wait,
-// admission_wait, cache_probe, warm_restore, simulate, serialize,
-// cache_publish — hung under a per-request root span ("request") by parent
-// id. Spans share the trace id minted at HTTP ingress, so a whole request
+// admission_wait, cache_probe, simulate, serialize, cache_publish — hung
+// under a per-request root span ("request") by parent id. Spans share the
+// trace id minted at HTTP ingress, so a whole request
 // reads as a single tree even though its stages execute on transport and
 // simulation-worker threads alike.
 //
@@ -41,7 +41,8 @@ struct ServeSpan {
 /// A bounded recorder's snapshot: the retained spans (completion order —
 /// reconstruct trees via parent_id, not position) plus drop accounting.
 struct ServeSpanLog {
-  static constexpr std::uint32_t kFormatVersion = 1;
+  // 2: a trailing u64 FNV-1a checksum over every preceding byte.
+  static constexpr std::uint32_t kFormatVersion = 2;
 
   std::uint64_t emitted = 0;  // spans ever emitted (>= spans.size())
   std::uint64_t dropped = 0;  // oldest spans overwritten by the ring
@@ -49,8 +50,9 @@ struct ServeSpanLog {
 
   /// Byte-stable serialization: equal logical state -> equal bytes.
   std::string serialize() const;
-  /// Strict inverse: wrong magic/version, truncated input, implausible
-  /// lengths or trailing bytes all reject (false, `out` untouched).
+  /// Strict inverse: wrong magic/version, a checksum mismatch (any
+  /// bit flip), truncated input, implausible lengths or trailing bytes all
+  /// reject (false, `out` untouched).
   static bool deserialize(std::string_view bytes, ServeSpanLog& out);
 
   bool save(const std::string& path) const;

@@ -232,8 +232,9 @@ bool EventTrace::deserialize(std::string_view bytes, EventTrace& out) {
     log.emitted = r.u64();
     log.dropped = r.u64();
     const std::uint64_t n = r.u64();
-    // 29 serialized bytes per event; reject before allocating on garbage.
-    if (!r.need(static_cast<std::size_t>(n) * 29)) return false;
+    // 29 serialized bytes per event; reject before allocating on garbage
+    // (divided, not multiplied: a huge count must not wrap the product).
+    if (!r.ok || n > (bytes.size() - r.pos) / 29) return false;
     log.events.resize(static_cast<std::size_t>(n));
     for (TraceEvent& e : log.events) {
       e.cycle = r.u64();

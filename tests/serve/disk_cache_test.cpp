@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +30,9 @@
 
 namespace ptb {
 namespace {
+
+// PTBR frame header: magic, version, payload length, run key, checksum.
+constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8 + 8 + 8;
 
 // Small but non-trivial: lock contention so the artifact carries real
 // spin/energy numbers, ~milliseconds per simulation.
@@ -65,20 +70,6 @@ void corrupt_file_at(const std::string& path, std::size_t offset,
   ASSERT_NE(f, nullptr) << path;
   ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
   ASSERT_EQ(std::fwrite(&byte, 1, 1, f), 1u);
-  ASSERT_EQ(std::fclose(f), 0);
-}
-
-// XORs one byte so the corruption is guaranteed to change the file
-// (corrupt_file_at with a fixed byte is a no-op when it already matches).
-void flip_byte_at(const std::string& path, std::size_t offset) {
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
-  char b = 0;
-  ASSERT_EQ(std::fread(&b, 1, 1, f), 1u);
-  b = static_cast<char>(b ^ 0x01);
-  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
-  ASSERT_EQ(std::fwrite(&b, 1, 1, f), 1u);
   ASSERT_EQ(std::fclose(f), 0);
 }
 
@@ -153,7 +144,7 @@ TEST(DiskRunCache, TruncatedEntryRejectedAndResimulated) {
   // Simulate a crashed writer published by a buggy rename: chop the file
   // mid-payload. The length field no longer matches -> corrupt, unlinked.
   const std::string path = cache.path_for(key);
-  std::filesystem::resize_file(path, 24 + good.size() / 2);
+  std::filesystem::resize_file(path, kFrameHeaderBytes + good.size() / 2);
   std::string payload;
   EXPECT_FALSE(cache.load(key, payload));
   EXPECT_EQ(cache.corrupt(), 1u);
@@ -177,9 +168,9 @@ TEST(DiskRunCache, BitFlipAndForeignFileRejected) {
   cached_run_payload(cache, p, cfg, hit);
   const std::string path = cache.path_for(key);
 
-  // Payload-level bit flip: framing is intact, so only the artifact-parse
-  // backstop can catch it. '\0' mid-JSON is unparseable by construction.
-  corrupt_file_at(path, 24 + 5, '\0');
+  // Payload-level byte change: framing is intact, and the payload checksum
+  // catches it ('\0' mid-JSON would also fail the artifact parse).
+  corrupt_file_at(path, kFrameHeaderBytes + 5, '\0');
   std::string payload;
   EXPECT_FALSE(cache.load(key, payload));
   EXPECT_EQ(cache.corrupt(), 1u);
@@ -195,6 +186,80 @@ TEST(DiskRunCache, BitFlipAndForeignFileRejected) {
   std::filesystem::rename(path, cache.path_for(key ^ 1));
   EXPECT_FALSE(cache.load(key ^ 1, payload));
   EXPECT_EQ(cache.corrupt(), 3u);
+}
+
+// Exhaustive fault sweep over one published entry (a stats-free run, so
+// the frame stays small): every strict prefix and every single-bit flip
+// is rejected — counted corrupt, unlinked, read as a miss — and none of
+// them aborts. The intact frame then reads back as a hit.
+TEST(DiskRunCache, EveryTruncationAndSingleBitFlipRejected) {
+  const DiskRunCache cache(temp_cache_dir("sweep"));
+  const WorkloadProfile p = fast_profile();
+  const SimConfig cfg = fast_config();
+  const std::uint64_t key = DiskRunCache::run_key(p.name, cfg);
+  const std::string payload =
+      RunArtifact::from_result(p.name, cfg, run_one(p, cfg)).to_payload();
+  ASSERT_TRUE(cache.store(key, payload));
+  const std::string path = cache.path_for(key);
+  std::string frame;
+  {
+    std::ifstream in(path, std::ios::binary);
+    frame.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ(frame.size(), kFrameHeaderBytes + payload.size());
+  const auto publish = [&](std::string_view bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+
+  std::string got;
+  std::uint64_t rejected = 0;
+  for (std::size_t len = 0; len < frame.size(); ++len) {
+    publish(std::string_view(frame).substr(0, len));
+    EXPECT_FALSE(cache.load(key, got))
+        << "accepted a " << len << "-byte prefix";
+    ++rejected;
+  }
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mut = frame;
+      mut[i] = static_cast<char>(mut[i] ^ (1 << bit));
+      publish(mut);
+      EXPECT_FALSE(cache.load(key, got))
+          << "accepted byte " << i << " bit " << bit << " flipped";
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(cache.corrupt(), rejected);
+  EXPECT_EQ(cache.hits(), 0u);
+  publish(frame);
+  ASSERT_TRUE(cache.load(key, got));
+  EXPECT_EQ(got, payload);
+}
+
+// The artifact parser on its own: every strict prefix of a payload is
+// rejected, and no single-bit flip aborts it (a flipped digit can still
+// parse; the frame checksum above is what rejects those on disk).
+TEST(RunArtifact, EveryTruncationRejectedAndNoBitFlipAborts) {
+  const WorkloadProfile p = fast_profile();
+  const SimConfig cfg = fast_config();
+  const std::string payload =
+      RunArtifact::from_result(p.name, cfg, run_one(p, cfg)).to_payload();
+  RunArtifact out;
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_FALSE(RunArtifact::parse(std::string_view(payload).substr(0, len),
+                                    out))
+        << "accepted a " << len << "-byte prefix";
+  }
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mut = payload;
+      mut[i] = static_cast<char>(mut[i] ^ (1 << bit));
+      (void)RunArtifact::parse(mut, out);
+    }
+  }
+  ASSERT_TRUE(RunArtifact::parse(payload, out));
+  EXPECT_EQ(out.to_payload(), payload);
 }
 
 TEST(DiskRunCache, ConcurrentReadersAndWritersOneKey) {
@@ -300,90 +365,57 @@ TEST(DiskRunCache, QuotaEvictsOldestPublishedEntriesFirst) {
   EXPECT_EQ(got, payload_for(k5));
 }
 
-TEST(DiskRunCache, WarmCheckpointRoundTripRejectsCorruptAndForeign) {
-  const DiskRunCache cache(temp_cache_dir("warm"));
+// Older daemons left ckpt-<hex16>.ptbc images beside the .run artifacts.
+// Such a file is no longer read, and the quota neither counts nor evicts
+// it: a miss simulates from scratch and the image stays untouched.
+TEST(DiskRunCache, LeftoverCheckpointImageNeverReadCountedOrEvicted) {
+  namespace fs = std::filesystem;
+  const std::string dir = temp_cache_dir("leftover_ckpt");
+  DiskRunCache cache(dir);
   const WorkloadProfile p = fast_profile();
   const SimConfig cfg = fast_config();
 
-  // A genuine cycle-0 warm frame, captured the way run_one captures it.
-  std::string frame;
-  RunOptions opts;
-  opts.checkpoint_at = 0;
-  opts.checkpoint_out = &frame;
-  CmpSimulator sim(cfg, p);
-  (void)sim.run(opts);
-  ASSERT_FALSE(frame.empty());
-  const std::uint64_t fp = checkpoint_fingerprint(cfg, p.name, 0);
+  // Named as an older daemon named the identity's cycle-0 image, and
+  // deliberately not a valid frame: reading it would count it corrupt.
+  char name[32];
+  std::snprintf(name, sizeof(name), "ckpt-%016llx.ptbc",
+                static_cast<unsigned long long>(
+                    checkpoint_fingerprint(cfg, p.name, 0)));
+  const std::string leftover = dir + "/" + name;
+  {
+    std::FILE* f = std::fopen(leftover.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << leftover;
+    const std::string junk(1 << 20, 'x');
+    ASSERT_EQ(std::fwrite(junk.data(), 1, junk.size(), f), junk.size());
+    ASSERT_EQ(std::fclose(f), 0);
+  }
+  const std::uint64_t leftover_bytes = fs::file_size(leftover);
 
-  std::string got;
-  EXPECT_FALSE(cache.load_warm_checkpoint(fp, got));
-  EXPECT_EQ(cache.warm_misses(), 1u);
-  ASSERT_TRUE(cache.store_warm_checkpoint(fp, frame));
-  EXPECT_EQ(cache.warm_stores(), 1u);
-  ASSERT_TRUE(cache.load_warm_checkpoint(fp, got));
-  EXPECT_EQ(got, frame) << "warm image not byte-identical";
-  EXPECT_EQ(cache.warm_hits(), 1u);
-
-  // Filed under the wrong fingerprint: the embedded checkpoint_fp check
-  // rejects it, counts it corrupt and heals the slot by unlinking.
-  std::filesystem::rename(cache.warm_checkpoint_path(fp),
-                          cache.warm_checkpoint_path(fp ^ 1));
-  EXPECT_FALSE(cache.load_warm_checkpoint(fp ^ 1, got));
-  EXPECT_EQ(cache.corrupt(), 1u);
-  EXPECT_FALSE(std::filesystem::exists(cache.warm_checkpoint_path(fp ^ 1)));
-
-  // A bit flip mid-frame fails the frame checksum: corrupt, unlinked,
-  // and the next lookup is a clean miss.
-  ASSERT_TRUE(cache.store_warm_checkpoint(fp, frame));
-  flip_byte_at(cache.warm_checkpoint_path(fp), frame.size() / 2);
-  EXPECT_FALSE(cache.load_warm_checkpoint(fp, got));
-  EXPECT_EQ(cache.corrupt(), 2u);
-  EXPECT_FALSE(std::filesystem::exists(cache.warm_checkpoint_path(fp)));
-}
-
-TEST(RunOne, WarmCheckpointDirSkipsWarmupByteIdentically) {
-  const WorkloadProfile p = fast_profile();
-  const SimConfig cfg = fast_config();
-  ASSERT_TRUE(cfg.functional_warmup);
   RunOptions opts;
   opts.stats = true;
+  const std::string scratch =
+      RunArtifact::from_result(p.name, cfg, run_one(p, cfg, opts))
+          .to_payload();
 
-  // Scratch references with no warm cache configured: the base config and
-  // a different technique on the same machine/seed/benchmark.
-  const RunResult cold = run_one(p, cfg, opts);
-  const std::string cold_payload =
-      RunArtifact::from_result(p.name, cfg, cold).to_payload();
+  // Room for both artifacts, far less than the leftover: if it were
+  // counted, every publish would evict.
+  cache.set_max_bytes(4 * scratch.size());
+  ASSERT_LT(cache.max_bytes(), leftover_bytes);
+  bool hit = true;
+  EXPECT_EQ(cached_run_payload(cache, p, cfg, hit), scratch);
+  EXPECT_FALSE(hit);
   SimConfig dvfs = cfg;
   dvfs.technique = TechniqueKind::kDvfs;
-  const RunResult dvfs_cold = run_one(p, dvfs, opts);
+  cached_run_payload(cache, p, dvfs, hit);
+  EXPECT_FALSE(hit);
 
-  const std::string dir = temp_cache_dir("warmdir");
-  set_default_warm_checkpoint_dir(dir);
-  const DiskRunCache* warm = default_warm_checkpoint_cache();
-  ASSERT_NE(warm, nullptr);
-
-  // First run through the warm path publishes the post-warmup image …
-  const RunResult first = run_one(p, cfg, opts);
-  EXPECT_EQ(warm->warm_stores(), 1u);
-  EXPECT_EQ(RunArtifact::from_result(p.name, cfg, first).to_payload(),
-            cold_payload);
-
-  // … and the second restores it instead of re-warming, byte-identically.
-  const RunResult second = run_one(p, cfg, opts);
-  EXPECT_EQ(warm->warm_hits(), 1u);
-  EXPECT_EQ(RunArtifact::from_result(p.name, cfg, second).to_payload(),
-            cold_payload);
-
-  // A different technique forks off the same warm image (the cycle-0
-  // fingerprint excludes technique and budget) and still reproduces its
-  // own scratch run exactly.
-  const RunResult forked = run_one(p, dvfs, opts);
-  EXPECT_EQ(warm->warm_hits(), 2u);
-  EXPECT_EQ(RunArtifact::from_result(p.name, dvfs, forked).to_payload(),
-            RunArtifact::from_result(p.name, dvfs, dvfs_cold).to_payload());
-
-  set_default_warm_checkpoint_dir("");  // leave no global state behind
-  ASSERT_EQ(default_warm_checkpoint_cache(), nullptr);
+  EXPECT_EQ(cache.corrupt(), 0u) << "the leftover image was read";
+  EXPECT_EQ(cache.evicted(), 0u);
+  EXPECT_TRUE(fs::exists(cache.path_for(DiskRunCache::run_key(p.name, cfg))));
+  EXPECT_TRUE(
+      fs::exists(cache.path_for(DiskRunCache::run_key(p.name, dvfs))));
+  ASSERT_TRUE(fs::exists(leftover));
+  EXPECT_EQ(fs::file_size(leftover), leftover_bytes);
 }
 
 }  // namespace

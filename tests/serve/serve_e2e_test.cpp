@@ -35,8 +35,11 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "serve/config_json.hpp"
 #include "serve/http.hpp"
+#include "sim/experiment.hpp"
 #include "trace/serve_span.hpp"
+#include "workloads/suite.hpp"
 
 namespace ptb::serve {
 namespace {
@@ -154,6 +157,57 @@ TEST(ServeE2E, RestartServesByteIdenticalFromPersistentCache) {
     EXPECT_EQ(by_key.body, first_body);
     server.stop();
   }
+}
+
+// A base miss and then a technique miss of the same (machine, seed,
+// benchmark) identity, the shape of one Figure 12 row: each simulates
+// from scratch, the cache directory ends up holding the two .run
+// artifacts and nothing else, the technique miss answers with exactly the
+// payload a plain run_one produces, and /metrics has no warm_ series.
+TEST(ServeE2E, TechniqueMissStoresOnlyRunArtifactsAndMatchesRunOne) {
+  const std::string cache_dir = fresh_cache_dir("identity");
+  const std::string tech_body =
+      "{\"benchmark\":\"fft\",\"config\":{\"num_cores\":2,"
+      "\"max_cycles\":20000,\"technique\":\"dvfs\"}}";
+  Server server(test_opts(cache_dir), "127.0.0.1", 0, 2);
+  std::string err;
+  ASSERT_TRUE(server.start(err)) << err;
+
+  const HttpResponse base =
+      must_request(server.port(), "POST", "/v1/run?wait=1", kRunBody);
+  ASSERT_EQ(base.status, 200) << base.body;
+  EXPECT_EQ(*find_header(base, "x-ptb-cache"), "miss");
+  const HttpResponse tech =
+      must_request(server.port(), "POST", "/v1/run?wait=1", tech_body);
+  ASSERT_EQ(tech.status, 200) << tech.body;
+  EXPECT_EQ(*find_header(tech, "x-ptb-cache"), "miss");
+  EXPECT_NE(tech.body, base.body);
+
+  std::vector<std::string> entries;
+  for (const auto& de : std::filesystem::directory_iterator(cache_dir)) {
+    entries.push_back(de.path().filename().string());
+  }
+  ASSERT_EQ(entries.size(), 2u);
+  for (const std::string& name : entries) {
+    EXPECT_TRUE(name.ends_with(".run")) << name;
+  }
+
+  json::Value doc;
+  RunRequest req;
+  ASSERT_TRUE(json::parse(tech_body, doc, err)) << err;
+  ASSERT_TRUE(parse_run_request(doc, req, err)) << err;
+  RunOptions opts;
+  opts.stats = true;
+  const WorkloadProfile& profile = benchmark_by_name(req.benchmark);
+  const RunResult r = run_one(profile, req.config, opts);
+  EXPECT_EQ(tech.body,
+            RunArtifact::from_result(profile.name, req.config, r).to_payload())
+      << "technique miss differs from a plain run_one payload";
+
+  const HttpResponse m = must_request(server.port(), "GET", "/metrics");
+  ASSERT_EQ(m.status, 200);
+  EXPECT_EQ(m.body.find("warm_"), std::string::npos) << m.body;
+  server.stop();
 }
 
 TEST(ServeE2E, MetricsExposeRequestCacheAndQueueSeries) {

@@ -32,6 +32,19 @@ ServeSpan span(std::uint64_t trace, std::uint32_t id, std::uint32_t parent,
   return s;
 }
 
+// Appends the log's trailing checksum (FNV-1a over every preceding byte)
+// to a hand-built body.
+std::string with_checksum(const std::string& body) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : body) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  std::string out = body;
+  for (int i = 0; i < 8; ++i) out += static_cast<char>((h >> (8 * i)) & 0xff);
+  return out;
+}
+
 TEST(ServeSpanLog, SerializeRoundTripsEveryField) {
   ServeSpanLog log;
   log.emitted = 5;
@@ -89,10 +102,33 @@ TEST(ServeSpanLog, DeserializeRejectsCorruptInput) {
       << "trailing bytes must reject";
 
   // An implausible span count (larger than the remaining bytes could ever
-  // hold) must reject before reserving memory.
+  // hold) must reject before reserving memory, even under a valid
+  // checksum.
   std::string huge_count = bytes.substr(0, 8 + 4 + 8 + 8);
   for (int i = 0; i < 8; ++i) huge_count += static_cast<char>(0xff);
-  EXPECT_FALSE(ServeSpanLog::deserialize(huge_count, out));
+  EXPECT_FALSE(ServeSpanLog::deserialize(with_checksum(huge_count), out));
+}
+
+// Exhaustive bit-flip sweep: the trailing checksum covers every byte, so
+// each single-bit flip anywhere in the log rejects, and none aborts.
+TEST(ServeSpanLog, EverySingleBitFlipRejected) {
+  ServeSpanLog log;
+  log.emitted = 3;
+  log.dropped = 1;
+  log.spans.push_back(span(9, 1, 0, "request", 0.0, 2.5, "POST /v1/run"));
+  log.spans.push_back(span(9, 2, 1, "simulate", 0.5, 2.0, "fft"));
+  const std::string bytes = log.serialize();
+  ServeSpanLog out;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mut = bytes;
+      mut[i] = static_cast<char>(mut[i] ^ (1 << bit));
+      EXPECT_FALSE(ServeSpanLog::deserialize(mut, out))
+          << "accepted byte " << i << " bit " << bit << " flipped";
+    }
+  }
+  ASSERT_TRUE(ServeSpanLog::deserialize(bytes, out));
+  EXPECT_EQ(out.serialize(), bytes);
 }
 
 TEST(ServeSpanLog, SaveLoadRoundTripsThroughDisk) {

@@ -5,14 +5,11 @@
 //     cleanly (truncation, bit-flips, wrong magic/version, bogus section
 //     tables) — never UB, never a partial accept;
 //   - identity validation: a frame restores only into a simulator with the
-//     same core count / benchmark / machine fingerprint / seed, and a
-//     mid-run frame additionally pins the full config fingerprint;
+//     same core count / benchmark / machine fingerprint / seed and the
+//     same full config fingerprint, at any cycle including 0;
 //   - the headline guarantee: a run restored from a mid-run checkpoint
 //     finishes bit-identical — RunResult fields, serialized event-trace
 //     bytes and the deterministic stats dump — to the uninterrupted run;
-//   - warm forking: a cycle-0 post-warmup frame captured under one
-//     technique restores under another and reproduces that technique's
-//     from-scratch results exactly;
 //   - sampled simulation: fast-forward windows preserve completion timing,
 //     stay deterministic across runs, and fold into the config
 //     fingerprint.
@@ -273,8 +270,8 @@ TEST(CheckpointRestore, MidRunResumeBitIdenticalThrifty) {
 
 // Save -> restore -> save is the identity on a mid-run frame: every
 // per-core field written (ROB entries with in-flight and unissued ops, the
-// pending completion events, the issue cursor) reads back to the same
-// bytes, including the unissued list rebuilt from the ROB.
+// pending completion events) reads back to the same bytes, including the
+// unissued list rebuilt from the ROB.
 TEST(CheckpointRestore, MidRunFrameResavesByteIdentical) {
   const WorkloadProfile p = small_profile();
   const SimConfig cfg = make_sim_config(4, ptb_spec());
@@ -295,20 +292,20 @@ TEST(CheckpointRestore, MidRunFrameResavesByteIdentical) {
   }
 }
 
-// A frame of the previous format (version 2: per-entry issued/completed
-// flags, every issued op in the event heap) is refused by version, before
-// any section is parsed.
+// A frame of the previous format (version 3: the per-core section still
+// carries the issue cursor) is refused by version, before any section is
+// parsed.
 TEST(CheckpointRestore, PreviousVersionFrameRejected) {
   const WorkloadProfile p = small_profile();
   const SimConfig cfg = make_sim_config(4, ptb_spec());
   std::string ckpt = capture_at(p, cfg, 500);
   ASSERT_GE(ckpt.size(), 8u);
-  ASSERT_EQ(kCheckpointVersion, 3u);
-  ckpt[4] = 2;  // u32 version, little-endian, after the magic
+  ASSERT_EQ(kCheckpointVersion, 4u);
+  ckpt[4] = 3;  // u32 version, little-endian, after the magic
   CmpSimulator sim(cfg, p);
   std::string err;
   EXPECT_FALSE(sim.restore_checkpoint(ckpt, &err));
-  EXPECT_NE(err.find("unsupported checkpoint version 2"), std::string::npos)
+  EXPECT_NE(err.find("unsupported checkpoint version 3"), std::string::npos)
       << err;
 }
 
@@ -325,29 +322,33 @@ TEST(CheckpointRestore, CarryConsumedBySingleRun) {
   expect_bit_identical(full, resumed);
 }
 
-// --- warm forking -----------------------------------------------------------
-
-// A cycle-0 frame captured right after functional warmup under the *base*
-// technique restores under a PTB config (different config fingerprint) and
-// reproduces the PTB run's from-scratch results bit for bit: the warmed
-// image is technique/budget-independent, so one image serves a sweep.
-TEST(CheckpointRestore, WarmFrameForksAcrossTechniques) {
+// A cycle-0 frame (captured at loop entry, after functional warmup) is
+// pinned to its config like any other: it resumes its own run bit for
+// bit, trace and stats included, and is refused under another technique
+// of the same machine, seed and benchmark.
+TEST(CheckpointRestore, CycleZeroFrameRestoresOnlyUnderItsOwnConfig) {
   const WorkloadProfile p = small_profile();
-  const std::string warm = capture_at(p, make_sim_config(4, base_spec()), 0);
-  ASSERT_FALSE(warm.empty());
+  RunOptions opts;
+  opts.trace_categories = kTraceAll;
+  opts.stats = true;
+  const SimConfig cfg = make_sim_config(4, ptb_spec());
+  const std::string ckpt = capture_at(p, cfg, 0, opts);
+  ASSERT_FALSE(ckpt.empty());
 
-  for (const TechniqueSpec& tech :
-       {ptb_spec(),
-        TechniqueSpec{"dvfs", TechniqueKind::kDvfs, false, PtbPolicy::kToAll,
-                      0.0}}) {
-    SCOPED_TRACE(tech.label);
-    const SimConfig cfg = make_sim_config(4, tech);
-    const RunResult scratch = CmpSimulator(cfg, p).run();
-    CmpSimulator sim(cfg, p);
-    std::string err;
-    ASSERT_TRUE(sim.restore_checkpoint(warm, &err)) << err;
-    expect_bit_identical(scratch, sim.run());
-  }
+  const RunResult full = CmpSimulator(cfg, p).run(opts);
+  CmpSimulator sim(cfg, p);
+  std::string err;
+  ASSERT_TRUE(sim.restore_checkpoint(ckpt, &err)) << err;
+  const RunResult resumed = sim.run(opts);
+  expect_bit_identical(full, resumed);
+  ASSERT_NE(resumed.trace, nullptr);
+  EXPECT_EQ(full.trace->serialize(), resumed.trace->serialize());
+  EXPECT_EQ(stats_json(full, /*include_volatile=*/false),
+            stats_json(resumed, /*include_volatile=*/false));
+
+  CmpSimulator other(make_sim_config(4, base_spec()), p);
+  EXPECT_FALSE(other.restore_checkpoint(ckpt, &err));
+  EXPECT_NE(err.find("config fingerprint"), std::string::npos) << err;
 }
 
 TEST(CheckpointFingerprint, ExcludesTechniqueIncludesCycle) {

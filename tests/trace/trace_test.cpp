@@ -172,6 +172,72 @@ TEST(EventTrace, RejectsCorruptInput) {
   EXPECT_EQ(out.num_cores, 77u);
 }
 
+// A per-category event count whose product with the 29-byte event size
+// wraps to a small number must reject, not reach the allocation.
+TEST(EventTrace, WrappingEventCountRejected) {
+  std::string bytes = small_trace().serialize();
+  // Header (magic 8, version, categories, cores, mask: 4 each, end cycle 8,
+  // wire latency 4) then the first log's emitted and dropped counters.
+  constexpr std::size_t kFirstCount = 8 + 4 + 4 + 4 + 4 + 8 + 4 + 8 + 8;
+  const std::uint64_t n = 0x08d3dcb08d3dcb09ull;  // n * 29 == 5 mod 2^64
+  for (int i = 0; i < 8; ++i) {
+    bytes[kFirstCount + i] = static_cast<char>((n >> (8 * i)) & 0xff);
+  }
+  EventTrace out;
+  EXPECT_FALSE(EventTrace::deserialize(bytes, out));
+}
+
+// Exhaustive fault sweep over the trace of a short real run. Every strict
+// prefix rejects. The frame carries no checksum, so a flip inside an
+// event's value fields can still read as a well-formed trace; the sweep
+// asserts that no flip aborts and that a flip is either rejected or read
+// back exactly (re-serializing reproduces the flipped bytes: nothing is
+// dropped, clamped or half-parsed).
+TEST(EventTrace, EveryTruncationRejectedAndEveryBitFlipReadExactly) {
+  WorkloadProfile p;
+  p.name = "sweep";
+  p.iterations = 1;
+  p.ops_per_iteration = 200;
+  p.num_locks = 1;
+  p.cs_per_1k_ops = 20.0;
+  p.cs_len_ops = 8;
+  TechniqueSpec t{"t", TechniqueKind::kTwoLevel, true, PtbPolicy::kDynamic,
+                  0.0};
+  SimConfig cfg = make_sim_config(2, t);
+  cfg.max_cycles = 3000;
+  RunOptions opts;
+  opts.trace_categories = kTraceAll;
+  const RunResult r = run_one(p, cfg, opts);
+  ASSERT_NE(r.trace, nullptr);
+  const std::string bytes = r.trace->serialize();
+  ASSERT_GT(r.trace->total_events(), 0u);
+  ASSERT_LT(bytes.size(), 8192u) << "keep the sweep small";
+
+  EventTrace out;
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(
+        EventTrace::deserialize(std::string_view(bytes).substr(0, len), out))
+        << "accepted a " << len << "-byte prefix";
+  }
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mut = bytes;
+      mut[i] = static_cast<char>(mut[i] ^ (1 << bit));
+      EventTrace back;
+      if (EventTrace::deserialize(mut, back)) {
+        EXPECT_EQ(back.serialize(), mut)
+            << "byte " << i << " bit " << bit << " accepted inexactly";
+      }
+    }
+  }
+  // The structural words always reject: magic, version, category count.
+  for (std::size_t i = 0; i < 16; ++i) {
+    std::string mut = bytes;
+    mut[i] = static_cast<char>(mut[i] ^ 1);
+    EXPECT_FALSE(EventTrace::deserialize(mut, out)) << "byte " << i;
+  }
+}
+
 TEST(EventTrace, MergedSortsByCycleStably) {
   const EventTrace t = small_trace();
   const std::vector<TraceEvent> m = t.merged();

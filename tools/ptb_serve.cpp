@@ -190,14 +190,6 @@ int main(int argc, char** argv) {
   sopts.log_file = log_file;
   sopts.log_level = log_level;
 
-  // Warm-checkpoint images share the cache directory: every simulation
-  // this daemon runs restores the post-warmup state instead of replaying
-  // functional warmup, across runs and across daemon restarts.
-  ptb::set_default_warm_checkpoint_dir(cache_dir);
-  if (ptb::DiskRunCache* warm = ptb::default_warm_checkpoint_cache()) {
-    warm->set_max_bytes(cache_max_bytes);
-  }
-
   ptb::serve::Server server(sopts, listen,
                             static_cast<std::uint16_t>(port), http_threads);
   std::string err;
