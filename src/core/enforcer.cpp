@@ -20,27 +20,14 @@ bool freq_only(TechniqueKind k) { return k == TechniqueKind::kDfs; }
 
 PowerEnforcer::PowerEnforcer(const SimConfig& cfg, TechniqueKind kind)
     : kind_(kind),
+      active_(is_budget_enforcer(kind)),
       ctrl_(cfg, uses_dvfs(kind), uses_microarch(kind), freq_only(kind)) {}
 
 void PowerEnforcer::tick(Cycle now, double est_power, double budget,
                          bool enforce, double relax_threshold, Core& core) {
-  if (!is_budget_enforcer(kind_)) return;
+  if (!active_) return;
   ctrl_.tick(now, est_power, budget, enforce, relax_threshold, core);
 }
-
-double PowerEnforcer::vdd_ratio() const {
-  return is_budget_enforcer(kind_) ? ctrl_.vdd_ratio() : 1.0;
-}
-
-double PowerEnforcer::freq_ratio() const {
-  return is_budget_enforcer(kind_) ? ctrl_.freq_ratio() : 1.0;
-}
-
-bool PowerEnforcer::stalled(Cycle now) const {
-  return is_budget_enforcer(kind_) && ctrl_.stalled(now);
-}
-
-bool PowerEnforcer::active() const { return is_budget_enforcer(kind_); }
 
 void PowerEnforcer::register_stats(StatsRegistry& reg,
                                    const std::string& prefix) const {

@@ -21,14 +21,15 @@ class PowerEnforcer {
   void tick(Cycle now, double est_power, double budget, bool enforce,
             double relax_threshold, Core& core);
 
-  double vdd_ratio() const;
-  double freq_ratio() const;
+  // Read for every core on every cycle, hence inline.
+  double vdd_ratio() const { return active_ ? ctrl_.vdd_ratio() : 1.0; }
+  double freq_ratio() const { return active_ ? ctrl_.freq_ratio() : 1.0; }
   /// True while a DVFS transition stalls the core.
-  bool stalled(Cycle now) const;
+  bool stalled(Cycle now) const { return active_ && ctrl_.stalled(now); }
   /// True when this technique actually enforces a local budget: kNone and
   /// the CMP-level baselines (thrifty barrier / meeting points) never react
   /// to tick(), so the cycle loop may skip them wholesale.
-  bool active() const;
+  bool active() const { return active_; }
 
   TechniqueKind kind() const { return kind_; }
   const TwoLevelController& controller() const { return ctrl_; }
@@ -49,6 +50,7 @@ class PowerEnforcer {
 
  private:
   TechniqueKind kind_;
+  bool active_;  // kind_ is a budget enforcer (DVFS, DFS, 2-level)
   TwoLevelController ctrl_;
 };
 

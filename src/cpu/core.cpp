@@ -66,10 +66,12 @@ void Core::deliver_value(const MicroOp& op) {
   program_.on_value(op, value);
 }
 
-void Core::process_completions(Cycle now) {
+bool Core::process_completions(Cycle now) {
+  bool popped = false;
   while (!completions_.empty() && completions_.top().first <= now) {
     const std::uint64_t seq = completions_.top().second;
     completions_.pop();
+    popped = true;
     const RobEntry& e = entry(seq);
     if (e.op.blocks_generation) deliver_value(e.op);
     if (waiting_branch_resolve_ && seq == mispredict_seq_) {
@@ -80,6 +82,7 @@ void Core::process_completions(Cycle now) {
                    e.complete_at + cfg_.core.pipeline_stages);
     }
   }
+  return popped;
 }
 
 void Core::do_commit(Cycle now) {
@@ -110,7 +113,7 @@ void Core::append_unissued(std::uint64_t seq) {
   unissued_tail_ = seq;
 }
 
-void Core::do_issue(Cycle now) {
+bool Core::do_issue(Cycle now) {
   fus_.begin_cycle();
   // The issue window starts at the oldest unissued op (the ROB tail when
   // none is unissued).
@@ -119,6 +122,7 @@ void Core::do_issue(Cycle now) {
   const std::uint64_t window_end = window_start + kIssueScanWindow;
   const std::uint32_t issue_width = cfg_.core.issue_width;
   std::uint32_t issued = 0;
+  bool any_ready = false;
   // Walk the unissued list oldest first; kNoSeq ends it (it is larger
   // than any window end).
   std::uint64_t prev = kNoSeq;  // last op walked past, still unissued
@@ -126,7 +130,9 @@ void Core::do_issue(Cycle now) {
        seq < window_end && issued < issue_width;) {
     RobEntry& e = entry(seq);
     const std::uint64_t next = e.next_unissued;
-    if (!deps_ready(seq, e.op, now) || !fus_.try_issue(e.op.cls)) {
+    const bool ready = deps_ready(seq, e.op, now);
+    any_ready |= ready;
+    if (!ready || !fus_.try_issue(e.op.cls)) {
       prev = seq;
       seq = next;
       continue;
@@ -164,29 +170,29 @@ void Core::do_issue(Cycle now) {
     if (next == kNoSeq) unissued_tail_ = prev;
     seq = next;
   }
+  return any_ready;
 }
 
-void Core::do_fetch(Cycle now) {
-  if (program_finished_ && !has_pending_op_) return;
-  if (waiting_branch_resolve_) {
-    ++stall_branch;
-    return;
-  }
-  if (now < fetch_blocked_until_) {
-    ++stall_front;
-    return;
-  }
+bool Core::do_fetch(Cycle now) {
+  quiet_stall_ = nullptr;
+  if (program_finished_ && !has_pending_op_) return true;
+  if (waiting_branch_resolve_) return stable_stall(&Core::stall_branch);
+  if (now < fetch_blocked_until_) return stable_stall(&Core::stall_front);
 
   const std::uint32_t width =
       std::min(fetch_limit_, cfg_.core.fetch_width);
+  if (width == 0) return true;
   bool icache_checked = false;
   std::uint32_t dispatched = 0;
   for (std::uint32_t n = 0; n < width; ++n) {
     if (rob_count_ >= rob_.size()) {  // ROB full
-      if (dispatched == 0) ++stall_rob;
+      if (dispatched == 0) return stable_stall(&Core::stall_rob);
       break;
     }
 
+    // Each pass dispatches or leaves the loop, so dispatched == 0 marks the
+    // first pass. A pending op has already been pulled and LSQ-checked.
+    const bool was_pending = has_pending_op_;
     MicroOp op;
     if (has_pending_op_) {
       op = pending_op_;
@@ -196,10 +202,13 @@ void Core::do_fetch(Cycle now) {
       const auto st = program_.next(fresh);
       if (st == ThreadProgram::FetchStatus::kFinished) {
         program_finished_ = true;
-        break;
+        return dispatched == 0;
       }
       if (st == ThreadProgram::FetchStatus::kStall) {
-        if (dispatched == 0) ++stall_program;
+        if (dispatched == 0) {
+          stable_stall(&Core::stall_program);
+          return program_.stalled_until_value();
+        }
         break;
       }
       op = fresh;
@@ -209,7 +218,10 @@ void Core::do_fetch(Cycle now) {
     if (op.is_memory() && lsq_count_ >= cfg_.core.lsq_entries) {
       pending_op_ = op;
       has_pending_op_ = true;
-      if (dispatched == 0) ++stall_lsq;
+      if (dispatched == 0) {
+        stable_stall(&Core::stall_lsq);
+        return was_pending;
+      }
       break;
     }
 
@@ -261,6 +273,7 @@ void Core::do_fetch(Cycle now) {
       }
     }
   }
+  return false;
 }
 
 std::string Core::debug_string(Cycle now) const {
@@ -305,19 +318,41 @@ void Core::register_stats(StatsRegistry& reg,
   ptht_.register_stats(reg, prefix + ".ptht");
 }
 
-void Core::tick(Cycle now) {
+Cycle Core::quiet_end(Cycle now) const {
+  Cycle end = fetch_blocked_until_ > now ? fetch_blocked_until_ : kNeverCycle;
+  for (std::uint64_t s = head_seq_; s < head_seq_ + rob_count_; ++s) {
+    const Cycle c = rob_[rob_index(s)].complete_at;
+    if (c > now && c < end) {
+      end = c;
+      if (end == now + 1) break;  // nothing can come sooner
+    }
+  }
+  return end;
+}
+
+void Core::full_tick(Cycle now) {
   ++ticks;
   fetch_exact_ = 0.0;
   fetch_est_ = 0.0;
   commit_exact_ = 0.0;
-  tick_rob_before_ = rob_count_;
+  const std::uint32_t rob_before = rob_count_;
+  const std::uint64_t committed_before = committed;
 
-  process_completions(now);
+  const bool popped = process_completions(now);
   do_commit(now);
-  do_issue(now);
-  do_fetch(now);
+  const bool any_ready = do_issue(now);
+  const bool fetch_stopped = do_fetch(now);
 
-  idle_ = (tick_rob_before_ == 0 && rob_count_ == 0);
+  idle_ = (rob_before == 0 && rob_count_ == 0);
+  // A tick that popped no event, committed nothing, found no ready op and
+  // dispatched nothing leaves the state it started from, and the stage
+  // inputs that move with time (complete_at <= now, fetch_blocked_until_)
+  // cannot change before quiet_end. Memory and sync state reach the core
+  // only through issue, fetch and value delivery, none of which runs; the
+  // fetch limit, the one outside write, ends the window itself.
+  const bool quiet = !popped && committed == committed_before &&
+                     !any_ready && fetch_stopped;
+  quiet_until_ = quiet ? quiet_end(now) : 0;
 }
 
 void Core::save_state(ByteWriter& w) const {
@@ -406,6 +441,7 @@ void Core::load_state(ByteReader& r) {
   waiting_branch_resolve_ = r.boolean();
   mispredict_seq_ = r.u64();
   fetch_limit_ = r.u32();
+  quiet_until_ = 0;
   committed = r.u64();
   fetched = r.u64();
   flushes = r.u64();

@@ -44,7 +44,23 @@ class Core {
   /// The caller (CMP) handles frequency scaling by skipping ticks.
   /// Completion delivery and commit run first, then issue (memory
   /// accesses go straight to the memory system) and fetch.
-  void tick(Cycle now);
+  ///
+  /// Quiet ticks: when a full tick changed nothing and fetch stopped for a
+  /// reason only a completion or the front-end stall can end, every tick
+  /// before `quiet_until_` would repeat it exactly, so it only bumps the
+  /// counters that tick bumped (see full_tick).
+  void tick(Cycle now) {
+    if (now < quiet_until_) {
+      ++ticks;
+      fetch_exact_ = 0.0;
+      fetch_est_ = 0.0;
+      commit_exact_ = 0.0;
+      if (quiet_stall_ != nullptr) ++(this->*quiet_stall_);
+      idle_ = rob_count_ == 0;
+      return;
+    }
+    full_tick(now);
+  }
 
   bool finished() const { return program_finished_ && rob_count_ == 0; }
 
@@ -67,9 +83,17 @@ class Core {
   /// always equals `committed` (in-order retirement invariant).
   std::uint64_t head_seq() const { return head_seq_; }
   const FunctionalUnits& fus() const { return fus_; }
+  /// Ticks before this cycle repeat the last full tick (0 = no window).
+  Cycle quiet_until() const { return quiet_until_; }
 
   // --- throttle knobs (microarchitectural power-saving techniques) ---
-  void set_fetch_limit(std::uint32_t w) { fetch_limit_ = w; }
+  /// A new limit ends a quiet window: fetch may now go further (or stop
+  /// earlier) than the tick that opened it.
+  void set_fetch_limit(std::uint32_t w) {
+    if (w == fetch_limit_) return;
+    fetch_limit_ = w;
+    quiet_until_ = 0;
+  }
   std::uint32_t fetch_limit() const { return fetch_limit_; }
 
   /// Enables/disables accumulation of the PTHT fetch estimate (the control
@@ -106,8 +130,9 @@ class Core {
   void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
   // Checkpoint support (sim/checkpoint): pipeline, predictor, PTHT and BCT
-  // state. Per-tick scratch, the base-cost memo and the FU pools (reset at
-  // the start of every tick) are rebuilt, not serialized. Must only be
+  // state. Per-tick scratch, the base-cost memo, the FU pools (reset at
+  // the start of every tick) and the quiet window are rebuilt, not
+  // serialized: a loaded core runs its next tick in full. Must only be
   // called at a cycle boundary.
   void save_state(ByteWriter& w) const;
   void load_state(ByteReader& r);
@@ -165,10 +190,25 @@ class Core {
     return e;
   }
 
-  void process_completions(Cycle now);
+  void full_tick(Cycle now);
+  /// The stages. process_completions returns whether it popped an event,
+  /// do_issue whether any op in the issue window was deps-ready (issued or
+  /// not), and do_fetch whether it dispatched nothing and stopped for a
+  /// reason only a completion or fetch_blocked_until_ can end (recording
+  /// the stall counter it bumped in quiet_stall_).
+  bool process_completions(Cycle now);
   void do_commit(Cycle now);
-  void do_issue(Cycle now);
-  void do_fetch(Cycle now);
+  bool do_issue(Cycle now);
+  bool do_fetch(Cycle now);
+  /// Bumps a fetch-stall counter and records it for the quiet ticks.
+  bool stable_stall(std::uint64_t Core::*counter) {
+    ++(this->*counter);
+    quiet_stall_ = counter;
+    return true;
+  }
+  /// First cycle after `now` at which a tick can differ from the one just
+  /// run: the earliest in-flight completion, capped by the front-end stall.
+  Cycle quiet_end(Cycle now) const;
   void deliver_value(const MicroOp& op);
   void append_unissued(std::uint64_t seq);
   bool deps_ready(std::uint64_t seq, const MicroOp& op, Cycle now) const;
@@ -220,7 +260,12 @@ class Core {
   double commit_exact_ = 0.0;
   bool idle_ = false;
   bool estimate_fetch_ = true;
-  std::uint32_t tick_rob_before_ = 0;  // ROB occupancy entering the tick
+
+  // Quiet window: ticks before quiet_until_ repeat the last full tick
+  // (0 = none). quiet_stall_ is the fetch-stall counter that tick bumped,
+  // or nullptr.
+  Cycle quiet_until_ = 0;
+  std::uint64_t Core::*quiet_stall_ = nullptr;
 
   std::array<BaseCost, kBaseCostEntries> base_costs_{};
 };

@@ -33,6 +33,11 @@ class ThreadProgram {
   virtual void on_value(const MicroOp& op, std::uint64_t value) = 0;
 
   virtual bool finished() const = 0;
+
+  /// True when next() returns kStall, changing nothing, until the next
+  /// on_value(). The core then stops calling next() until a completion
+  /// (quiet ticks); a program that cannot promise this keeps the default.
+  virtual bool stalled_until_value() const { return false; }
 };
 
 }  // namespace ptb

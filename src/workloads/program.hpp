@@ -31,6 +31,9 @@ class SyntheticProgram final : public ThreadProgram {
   FetchStatus next(MicroOp& out) override;
   void on_value(const MicroOp& op, std::uint64_t value) override;
   bool finished() const override { return state_ == State::kDone; }
+  bool stalled_until_value() const override {
+    return waiting_ && pause_left_ == 0 && queue_.empty();
+  }
 
   // Introspection for tests.
   std::uint32_t iteration() const { return iter_; }

@@ -3,13 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "mem/memory_system.hpp"
 #include "noc/mesh.hpp"
 #include "power/power_model.hpp"
+#include "sync/spin_tracker.hpp"
 #include "sync/sync_state.hpp"
+#include "workloads/program.hpp"
 
 namespace ptb {
 namespace {
@@ -411,6 +418,209 @@ TEST_F(CoreTest, SaveLoadWithOpsInFlightResumesIdentically) {
   }
   EXPECT_TRUE(b.finished());
   EXPECT_EQ(b.committed, 9u);
+}
+
+// One machine for the quiet-tick reference: a mesh, a memory system, sync
+// state and one SyntheticProgram-driven core per thread, built as
+// CmpSimulator builds them, with cold caches (no functional warm-up).
+struct QuietMachine {
+  QuietMachine(const SimConfig& cfg, const WorkloadProfile& p,
+               const BaseEnergyModel& energy)
+      : mesh(cfg.noc, cfg.mesh_width(), cfg.mesh_height()), mem(cfg, mesh),
+        sync(std::max<std::uint32_t>(1, p.num_locks), 1, cfg.num_cores),
+        trackers(cfg.num_cores) {
+    for (CoreId i = 0; i < cfg.num_cores; ++i) {
+      programs.push_back(std::make_unique<SyntheticProgram>(
+          p, i, cfg.num_cores, sync, trackers[i], cfg.seed));
+      cores.push_back(std::make_unique<Core>(i, cfg, mem, sync,
+                                             *programs[i], energy));
+    }
+  }
+
+  Mesh mesh;
+  MemorySystem mem;
+  SyncState sync;
+  std::vector<SpinTracker> trackers;
+  std::vector<std::unique_ptr<SyntheticProgram>> programs;
+  std::vector<std::unique_ptr<Core>> cores;
+};
+
+/// Everything a tick leaves visible to the simulator (doubles compared
+/// exactly).
+struct TickView {
+  explicit TickView(const Core& c)
+      : tokens{c.commit_tokens_exact(), c.fetch_tokens_exact(),
+               c.fetch_tokens_estimated()},
+        idle(c.idle()), rob(c.rob_occupancy()), lsq(c.lsq_occupancy()),
+        counters{c.committed,    c.fetched,       c.flushes,
+                 c.ticks,        c.stall_branch,  c.stall_front,
+                 c.stall_program, c.stall_rob,    c.stall_lsq} {}
+  bool operator==(const TickView&) const = default;
+
+  std::array<double, 3> tokens;
+  bool idle;
+  std::uint32_t rob;
+  std::uint32_t lsq;
+  std::array<std::uint64_t, 9> counters;
+};
+
+std::ostream& operator<<(std::ostream& o, const TickView& v) {
+  o << std::hexfloat << "tokens " << v.tokens[0] << ' ' << v.tokens[1] << ' '
+    << v.tokens[2] << std::defaultfloat << " idle=" << v.idle
+    << " rob=" << v.rob << " lsq=" << v.lsq << " counters";
+  for (const std::uint64_t x : v.counters) o << ' ' << x;
+  return o;
+}
+
+template <typename T>
+std::string saved(const T& x) {
+  ByteWriter w;
+  x.save_state(w);
+  return w.take();
+}
+
+// Quiet ticks are exact: machine `a` runs Core::tick as shipped, while
+// every core of machine `b` is saved and loaded into itself before each
+// tick, which ends any quiet window, so `b` runs all four stages every
+// cycle. Every tick must leave the same observables, and the runs the same
+// core, program and memory state. The cases reach each quiet fetch stop
+// (spin and barrier loads, mispredicts, I-misses and refills, ROB full
+// behind misses, LSQ full), fetch-limit changes inside open windows, and
+// skipped ticks as under DFS.
+TEST_F(CoreTest, QuietTicksMatchFullTickReference) {
+  struct Case {
+    const char* label;
+    std::uint32_t lsq_entries;  // 0 = default
+    double freq_ratio;          // < 1 skips ticks
+    bool gate_fetch;            // cycle the fetch limit through 0
+  };
+  const Case cases[] = {
+      {"every tick", 0, 1.0, false},
+      {"lsq4 + skipped ticks", 4, 0.6, false},
+      {"fetch gating + skipped ticks", 0, 0.75, true},
+  };
+  WorkloadProfile p;
+  p.name = "quiet";
+  p.iterations = 2;
+  p.ops_per_iteration = 2000;
+  p.imbalance = 0.3;
+  p.num_locks = 2;
+  p.cs_per_1k_ops = 6.0;
+  p.cs_len_ops = 12;
+  p.hot_lock_frac = 0.7;
+  p.ws_private_lines = 1024;  // spills L1: misses fill the ROB
+  p.branch_noise = 0.2;
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    SimConfig cfg;
+    cfg.num_cores = 4;
+    // Small tables keep the per-tick save/load of the reference cheap.
+    cfg.core.rob_entries = 64;
+    cfg.power.ptht_entries = 64;
+    cfg.core.bp_table_bytes = 64;
+    cfg.core.bp_history_bits = 6;
+    if (c.lsq_entries != 0) cfg.core.lsq_entries = c.lsq_entries;
+    const BaseEnergyModel energy(cfg.power, 1);
+    QuietMachine a(cfg, p, energy);
+    QuietMachine b(cfg, p, energy);
+    const std::uint32_t n = cfg.num_cores;
+    // Warm each thread's compute code, not its lock and barrier code: the
+    // first pass through those still misses in the L1I.
+    for (QuietMachine* m : {&a, &b}) {
+      for (CoreId i = 0; i < n; ++i) {
+        const SyntheticProgram& prog = *m->programs[i];
+        for (Addr at = prog.code_base();
+             at < prog.code_base() + prog.code_bytes(); at += 64) {
+          m->mem.directory().warm(i, at / 64, /*instruction=*/true, false);
+        }
+      }
+    }
+
+    // Quiet ticks of `a` by the stall counter they bump (branch, front,
+    // program, rob, lsq, none), and fetch-limit changes landing in an open
+    // window (to 0, from 0).
+    std::array<std::uint64_t, 6> quiet_by_stop{};
+    std::array<std::uint64_t, 2> limit_in_window{};
+    std::vector<double> acc(n);
+    for (CoreId i = 0; i < n; ++i) acc[i] = 0.25 * i;
+    Cycle t = 0;
+    const auto done = [&] {
+      for (CoreId i = 0; i < n; ++i) {
+        if (!a.cores[i]->finished() || !b.cores[i]->finished()) return false;
+      }
+      return true;
+    };
+    for (; t < 400000 && !done(); ++t) {
+      for (CoreId i = 0; i < n; ++i) {
+        Core& ca = *a.cores[i];
+        Core& cb = *b.cores[i];
+        acc[i] += c.freq_ratio;
+        if (acc[i] < 1.0 || ca.finished()) continue;
+        acc[i] -= 1.0;
+
+        const std::string state = saved(cb);
+        ByteReader r(state);
+        cb.load_state(r);
+        ASSERT_TRUE(r.ok());
+        ASSERT_EQ(cb.quiet_until(), 0u);
+
+        const bool quiet = t < ca.quiet_until();
+        const TickView before(ca);
+        ca.tick(t);
+        cb.tick(t);
+        const TickView after(ca);
+        ASSERT_EQ(after, TickView(cb))
+            << "core " << i << " cycle " << t << (quiet ? " (quiet)" : "");
+        if (quiet) {
+          std::size_t stop = 5;  // no stall counter moved
+          for (std::size_t k = 0; k < 5; ++k) {  // counters[4..8]: stalls
+            if (after.counters[4 + k] != before.counters[4 + k]) stop = k;
+          }
+          ++quiet_by_stop[stop];
+        }
+      }
+      if (c.gate_fetch) {
+        // Throttle phases as the 2-level enforcer and spinner gating set
+        // them between ticks: gated, half width, full width.
+        const std::uint32_t phase = t % 97;
+        const std::uint32_t limit =
+            phase < 30 ? 0 : phase < 45 ? 2 : cfg.core.fetch_width;
+        for (CoreId i = 0; i < n; ++i) {
+          Core& ca = *a.cores[i];
+          const std::uint32_t old = ca.fetch_limit();
+          if (limit != old && t + 1 < ca.quiet_until()) {
+            if (limit == 0) ++limit_in_window[0];
+            if (old == 0) ++limit_in_window[1];
+          }
+          ca.set_fetch_limit(limit);
+          b.cores[i]->set_fetch_limit(limit);
+        }
+      }
+    }
+    ASSERT_TRUE(done()) << "did not finish by cycle " << t;
+    for (CoreId i = 0; i < n; ++i) {
+      EXPECT_EQ(saved(*a.cores[i]), saved(*b.cores[i])) << "core " << i;
+      EXPECT_EQ(saved(*a.programs[i]), saved(*b.programs[i])) << "core " << i;
+    }
+    EXPECT_EQ(saved(a.mem), saved(b.mem));
+    EXPECT_EQ(saved(a.sync), saved(b.sync));
+
+    // Every quiet fetch stop the case is built for was reached.
+    EXPECT_GT(quiet_by_stop[0], 0u) << "branch resolve";
+    EXPECT_GT(quiet_by_stop[1], 0u) << "I-miss or refill";
+    EXPECT_GT(quiet_by_stop[2], 0u) << "waiting for a value";
+    if (c.lsq_entries == 0) {
+      EXPECT_GT(quiet_by_stop[3], 0u) << "ROB full";
+    } else {  // a small LSQ fills before the ROB
+      EXPECT_GT(quiet_by_stop[4], 0u) << "LSQ full";
+    }
+    if (c.gate_fetch) {
+      EXPECT_GT(quiet_by_stop[5], 0u) << "fetch limit 0";
+      EXPECT_GT(limit_in_window[0], 0u) << "gated inside a window";
+      EXPECT_GT(limit_in_window[1], 0u) << "restored inside a window";
+    }
+  }
 }
 
 }  // namespace

@@ -175,7 +175,11 @@ TEST(CmpSimulator, SingleCoreDegenerateCaseWorks) {
 // result, trace order or stats — fails here. A legitimate result change
 // must update the table and say why. The rows with core overrides pin the
 // edges of the issue stage: a non-power-of-two ROB (the modulo slot path),
-// a single-issue core and a ROB smaller than the issue window.
+// a single-issue core and a ROB smaller than the issue window. The DFS rows
+// pin frequency-only tick skipping (a core sits out whole cycles with ops in
+// flight); they run at a 30% budget because DFS never throttles this
+// profile at the default 50%. The small-LSQ row pins the LSQ-full fetch
+// stall, which the default 64-entry LSQ never reaches.
 std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
   for (const unsigned char c : s) {
     h ^= c;
@@ -193,6 +197,8 @@ struct GoldenCase {
   std::uint64_t digest;
   std::uint32_t rob_entries = 0;  // 0 = the default core
   std::uint32_t issue_width = 0;  // 0 = the default core
+  std::uint32_t lsq_entries = 0;  // 0 = the default core
+  double budget_fraction = 0.0;   // 0 = the default budget
 };
 
 TEST(CmpSimulator, GoldenCycleLoopDigests) {
@@ -204,6 +210,8 @@ TEST(CmpSimulator, GoldenCycleLoopDigests) {
                               PtbPolicy::kDynamic, 0.0};
   const TechniqueSpec ptb_one{"ptb+2l(toone)", TechniqueKind::kTwoLevel,
                               true, PtbPolicy::kToOne, 0.0};
+  const TechniqueSpec dfs{"dfs", TechniqueKind::kDfs, false,
+                          PtbPolicy::kToAll, 0.0};
   const TechniqueSpec thrifty{"thrifty", TechniqueKind::kThriftyBarrier,
                               false, PtbPolicy::kToAll, 0.0};
   const TechniqueSpec meeting{"meeting", TechniqueKind::kMeetingPoints,
@@ -229,6 +237,10 @@ TEST(CmpSimulator, GoldenCycleLoopDigests) {
       {"dvfs+issue1", 4, dvfs, false, 0, 0x483e69e3c06fda5full, 0, 1},
       {"base+rob8", 4, base, false, 0, 0x7ddccb84ee86b4c0ull, 8, 0},
       {"thrifty+rob8", 4, thrifty, false, 0, 0x798e071a69e98e05ull, 8, 0},
+      {"dfs+budget30", 4, dfs, false, 0, 0x6776b7fefb029b96ull, 0, 0, 0, 0.3},
+      {"dfs+budget30", 16, dfs, false, 0, 0x60593939a4c6e6b6ull, 0, 0, 0,
+       0.3},
+      {"base+lsq4", 4, base, false, 0, 0x3fd4ec381cc3ecc5ull, 0, 0, 4},
   };
   const WorkloadProfile p = sync_heavy_profile();
   RunOptions opts;
@@ -243,6 +255,8 @@ TEST(CmpSimulator, GoldenCycleLoopDigests) {
     cfg.ptb.cluster_size = c.cluster_size;
     if (c.rob_entries != 0) cfg.core.rob_entries = c.rob_entries;
     if (c.issue_width != 0) cfg.core.issue_width = c.issue_width;
+    if (c.lsq_entries != 0) cfg.core.lsq_entries = c.lsq_entries;
+    if (c.budget_fraction != 0.0) cfg.budget_fraction = c.budget_fraction;
     const RunResult r = CmpSimulator(cfg, p).run(opts);
     ASSERT_FALSE(r.hit_max_cycles);
     ASSERT_NE(r.trace, nullptr);
@@ -252,6 +266,23 @@ TEST(CmpSimulator, GoldenCycleLoopDigests) {
     h = fnv1a(h, r.trace->serialize());
     h = fnv1a(h, r.stats->to_json(/*include_volatile=*/false));
     EXPECT_EQ(h, c.digest) << "actual digest 0x" << std::hex << h;
+    if (c.lsq_entries != 0) {  // the row exists to reach the LSQ-full stall
+      const StatsDump::Scalar* lsq = r.stats->find("core.0.stall.lsq");
+      ASSERT_NE(lsq, nullptr);
+      EXPECT_GT(lsq->u64, 0u);
+    }
+    if (c.tech.kind == TechniqueKind::kDfs) {  // and these to skip ticks
+      std::uint64_t ticks = 0;
+      std::uint64_t cycles = 0;
+      for (std::uint32_t i = 0; i < c.cores; ++i) {
+        const StatsDump::Scalar* t =
+            r.stats->find("core." + std::to_string(i) + ".ticks");
+        ASSERT_NE(t, nullptr);
+        ticks += t->u64;
+        cycles += r.cores[i].finish_cycle + 1;
+      }
+      EXPECT_LT(ticks, cycles);
+    }
   }
 }
 

@@ -6,11 +6,27 @@
 
 #include <map>
 #include <set>
+#include <string>
 
+#include "common/bytes.hpp"
 #include "workloads/suite.hpp"
 
 namespace ptb {
 namespace {
+
+/// Applies a blocking op's semantics against the SyncState for thread `id`
+/// and returns the value the program is told.
+std::uint64_t apply_sync(const MicroOp& op, SyncState& sync, CoreId id) {
+  switch (op.sync) {
+    case SyncRole::kLockTestLoad: return sync.read_lock(op.sync_id);
+    case SyncRole::kLockTryAcquire: return sync.try_acquire(op.sync_id, id);
+    case SyncRole::kLockRelease: sync.release(op.sync_id, id); return 0;
+    case SyncRole::kBarrierArrive: return sync.arrive(op.sync_id);
+    case SyncRole::kBarrierSpinLoad: return sync.read_sense(op.sync_id);
+    case SyncRole::kNone: return 0;
+  }
+  return 0;
+}
 
 /// Drives a program as an ideal machine: every blocking op's semantics are
 /// applied immediately against the SyncState.
@@ -45,18 +61,7 @@ class DirectDriver {
 
  private:
   void apply(const MicroOp& op) {
-    std::uint64_t v = 0;
-    switch (op.sync) {
-      case SyncRole::kLockTestLoad: v = sync_.read_lock(op.sync_id); break;
-      case SyncRole::kLockTryAcquire:
-        v = sync_.try_acquire(op.sync_id, id_);
-        break;
-      case SyncRole::kLockRelease: sync_.release(op.sync_id, id_); break;
-      case SyncRole::kBarrierArrive: v = sync_.arrive(op.sync_id); break;
-      case SyncRole::kBarrierSpinLoad: v = sync_.read_sense(op.sync_id); break;
-      case SyncRole::kNone: break;
-    }
-    prog_.on_value(op, v);
+    prog_.on_value(op, apply_sync(op, sync_, id_));
   }
 
   SyntheticProgram& prog_;
@@ -212,6 +217,51 @@ TEST(SyntheticProgram, TrackerFollowsSyncStates) {
     }
   }
   EXPECT_TRUE(saw_lock_acq);
+}
+
+// The core stops calling next() while stalled_until_value() holds (quiet
+// ticks), so the promise must be exact: next() then returns kStall and
+// leaves the program's state as it was, until on_value(). Blocking ops stay
+// in flight for a few calls here, as they do in a core, through lock
+// spinning (with its pauses), critical sections and a barrier.
+TEST(SyntheticProgram, StalledUntilValueMeansNextStallsWithoutChange) {
+  WorkloadProfile p = tiny_profile();
+  p.num_locks = 1;
+  p.cs_per_1k_ops = 50.0;
+  p.hot_lock_frac = 1.0;
+  SyncState sync(1, 1, 1);
+  SpinTracker tracker;
+  SyntheticProgram prog(p, 0, 1, sync, tracker, 1);
+  sync.try_acquire(0, 1);  // another thread holds the lock for a while
+  const auto saved = [&prog] {
+    ByteWriter w;
+    prog.save_state(w);
+    return w.take();
+  };
+  MicroOp in_flight;
+  int completes_in = 0;  // > 0 while a blocking op is in flight
+  int stalled_calls = 0;
+  for (int i = 0; i < 100000 && !prog.finished(); ++i) {
+    if (i == 3000) sync.release(0, 1);
+    if (completes_in > 0 && --completes_in == 0) {
+      prog.on_value(in_flight, apply_sync(in_flight, sync, 0));
+    }
+    const bool stalled = prog.stalled_until_value();
+    const std::string before = stalled ? saved() : std::string();
+    MicroOp op;
+    const auto st = prog.next(op);
+    if (stalled) {
+      ++stalled_calls;
+      ASSERT_EQ(st, ThreadProgram::FetchStatus::kStall) << "call " << i;
+      ASSERT_EQ(saved(), before) << "call " << i;
+    }
+    if (st == ThreadProgram::FetchStatus::kOp && op.blocks_generation) {
+      in_flight = op;
+      completes_in = 5;
+    }
+  }
+  EXPECT_TRUE(prog.finished());
+  EXPECT_GT(stalled_calls, 0);
 }
 
 }  // namespace
