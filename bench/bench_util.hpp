@@ -22,10 +22,14 @@
 #include "sim/reporting.hpp"
 #include "sim/run_pool.hpp"
 #include "stats/dump.hpp"
+#include "tool_util.hpp"
 #include "trace/trace.hpp"
 #include "workloads/suite.hpp"
 
 namespace ptb::bench {
+
+/// Upper bound of --jobs (ptb-serve's --jobs range).
+inline constexpr std::uint32_t kMaxJobs = 4096;
 
 /// Options every bench binary accepts.
 struct BenchOptions {
@@ -45,11 +49,6 @@ struct BenchOptions {
   std::string stats_path;
   std::uint64_t stats_every = 0;
   bool stats_prom = false;  // --stats-format json (default) | prom
-  // --sample-windows DETAIL/PERIOD: SMARTS-style sampled simulation for
-  // every run — each period of PERIOD cycles models the first DETAIL
-  // cycles in detail and fast-forwards the rest. 0/0 (default) = off.
-  std::uint64_t sample_detail = 0;
-  std::uint64_t sample_period = 0;
   // --checkpoint-at CYC:PATH: capture a checkpoint of the reference run
   // (the --trace/--stats configuration) at cycle CYC and write it to PATH.
   std::uint64_t checkpoint_at = 0;
@@ -72,20 +71,18 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--jobs" || arg == "-j") {
-      const long n = std::strtol(value("--jobs"), nullptr, 10);
-      if (n < 1) {
-        std::fprintf(stderr, "%s: --jobs must be >= 1\n", argv[0]);
+    if (arg == "--jobs" || arg == "-j" || arg.rfind("--jobs=", 0) == 0) {
+      // Same strict parse and range as ptb-serve's --jobs: every worker is
+      // an OS thread, so the count is capped.
+      const char* v =
+          arg.size() > 6 && arg[6] == '=' ? arg.c_str() + 7 : value("--jobs");
+      std::uint32_t n = 0;
+      if (!tools::parse_u32_arg(v, n) || n < 1 || n > kMaxJobs) {
+        std::fprintf(stderr, "%s: bad --jobs value '%s' (expected 1..%u)\n",
+                     argv[0], v, kMaxJobs);
         std::exit(2);
       }
-      opts.jobs = static_cast<unsigned>(n);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      const long n = std::strtol(arg.c_str() + 7, nullptr, 10);
-      if (n < 1) {
-        std::fprintf(stderr, "%s: --jobs must be >= 1\n", argv[0]);
-        std::exit(2);
-      }
-      opts.jobs = static_cast<unsigned>(n);
+      opts.jobs = n;
     } else if (arg == "--json") {
       opts.json_path = value("--json");
     } else if (arg.rfind("--json=", 0) == 0) {
@@ -141,30 +138,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
         std::exit(2);
       }
       opts.stats_path = v;
-    } else if (arg == "--sample-windows" ||
-               arg.rfind("--sample-windows=", 0) == 0) {
-      const char* v = arg.size() > 16 && arg[16] == '='
-                          ? arg.c_str() + 17
-                          : value("--sample-windows");
-      char* end = nullptr;
-      const unsigned long long detail = std::strtoull(v, &end, 10);
-      bool ok = end != v && *end == '/';
-      if (ok) {
-        const char* p = end + 1;
-        const unsigned long long period = std::strtoull(p, &end, 10);
-        ok = end != p && *end == '\0' && detail > 0 && detail < period;
-        if (ok) {
-          opts.sample_detail = detail;
-          opts.sample_period = period;
-        }
-      }
-      if (!ok) {
-        std::fprintf(stderr,
-                     "%s: --sample-windows expects DETAIL/PERIOD with "
-                     "0 < DETAIL < PERIOD\n",
-                     argv[0]);
-        std::exit(2);
-      }
     } else if (arg == "--checkpoint-at" ||
                arg.rfind("--checkpoint-at=", 0) == 0) {
       // CYC:PATH — the cycle is numeric, so the first ':' ends it and the
@@ -212,10 +185,10 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
           "          [--audit LEVEL] [--only NAME | --list]\n"
           "          [--trace PATH[:CATS]] [--stats PATH[:EVERY]]\n"
           "          [--stats-format json|prom]\n"
-          "          [--sample-windows DETAIL/PERIOD]\n"
           "          [--checkpoint-at CYC:PATH] [--restore-from PATH]\n"
-          "  --jobs N      worker threads for the run grid (default: all\n"
-          "                hardware threads); results are identical for any N\n"
+          "  --jobs N      worker threads for the run grid, 1..4096 (default:\n"
+          "                all hardware threads); results are identical for\n"
+          "                any N\n"
           "  --json PATH   also write the results as machine-readable JSON\n"
           "  --audit LEVEL run the invariant auditor on every simulation:\n"
           "                off (default), cheap (per-core checks each cycle)\n"
@@ -241,13 +214,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
           "  --stats-format json|prom\n"
           "                exposition for --stats: JSON (default; the\n"
           "                ptb-stats interchange format) or Prometheus text\n"
-          "  --sample-windows DETAIL/PERIOD\n"
-          "                sampled simulation for every run: each PERIOD\n"
-          "                cycles, model the first DETAIL in full detail and\n"
-          "                fast-forward the rest (power control frozen);\n"
-          "                energy/AoPB are scaled back up from the detailed\n"
-          "                windows. Approximate by design — numbers differ\n"
-          "                from a full run, deterministically\n"
           "  --checkpoint-at CYC:PATH\n"
           "                capture a checkpoint of the reference run (the\n"
           "                --trace configuration) at cycle CYC, write the\n"
@@ -283,7 +249,6 @@ class BenchContext {
     // Applies to every config built through make_sim_config from here on;
     // set before any run is submitted to the pool.
     set_default_audit_level(opts_.audit);
-    set_default_sample_windows(opts_.sample_detail, opts_.sample_period);
     // The suite filter must be installed before anything materializes the
     // suite (the first benchmark_suite() call freezes it).
     if (!set_suite_filter(opts_.only)) {

@@ -42,6 +42,20 @@ const Value* Value::find(std::string_view key) const {
   return nullptr;
 }
 
+bool Value::get_string(std::string_view key, std::string& out) const {
+  const Value* v = find(key);
+  if (v == nullptr || !v->is_string()) return false;
+  out = v->str_;
+  return true;
+}
+
+bool Value::get_number(std::string_view key, double& out) const {
+  const Value* v = find(key);
+  if (v == nullptr || !v->is_number()) return false;
+  out = v->num_;
+  return true;
+}
+
 Value Value::null() { return Value{}; }
 
 Value Value::boolean(bool b) {

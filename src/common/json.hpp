@@ -1,14 +1,15 @@
 // Generic JSON document model with a strict recursive-descent parser and a
-// canonical writer — the shared substrate for every JSON interchange surface
-// that must *read* documents (the serve request bodies, the disk run-cache
-// artifacts). Producers that only ever write (stats/dump.cpp, reporting.cpp)
-// keep their hand-rolled emitters; this module exists for the consumers.
+// canonical writer — the one parser behind every JSON reader in the
+// project: serve request bodies, disk run-cache artifacts and stats dumps
+// (StatsDump::parse_json, which ptb-stats uses). Writers (StatsDump::to_json,
+// reporting.cpp) keep their hand-rolled emitters and share escape().
 //
-// Strictness contract (same spirit as StatsDump::parse_json): the whole
-// input must be one JSON value plus trailing whitespace, no comments, no
-// trailing commas, objects keep insertion order (never hash order — parsed
-// documents feed deterministic output paths). parse() never throws; a
-// malformed document returns false with a position-carrying error message.
+// Strictness contract: the whole input must be one JSON value plus
+// trailing whitespace, no comments, no trailing commas, objects keep
+// insertion order (never hash order — parsed documents feed deterministic
+// output paths). Nesting is bounded (64 levels), so hostile input cannot
+// exhaust the stack. parse() never throws; a malformed document returns
+// false with a position-carrying error message.
 //
 // Numbers keep their raw source text alongside the double value so 64-bit
 // integers round-trip exactly (u64() re-parses the raw text; a double can
@@ -57,6 +58,10 @@ class Value {
   /// First member with this key; null when absent. O(n) — documents here
   /// are small (configs, artifacts), never hot-path data.
   const Value* find(std::string_view key) const;
+  /// Typed member lookups: false (`out` untouched) when the key is absent
+  /// or holds another kind.
+  bool get_string(std::string_view key, std::string& out) const;
+  bool get_number(std::string_view key, double& out) const;
 
   // --- construction (for writers/tests) ---
   static Value null();

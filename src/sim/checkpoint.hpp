@@ -43,7 +43,8 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x43425450u;  // "PTBC" LE
 //    mispredicted branch.
 // 4: the per-core section drops the issue cursor (the issue window is
 //    derived from the unissued list each cycle).
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+// 5: the run section drops the sampled-simulation detailed-cycle counter.
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// Section tags. Values are part of the on-disk format: never renumber,
 /// only append. Restore skips tags it does not know.

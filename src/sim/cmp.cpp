@@ -53,7 +53,6 @@ struct CmpSimulator::CheckpointCarry {
   double epoch_acc = 0.0;
   std::uint32_t epoch_n = 0;
   std::uint64_t spin_gated_cycles = 0;
-  std::uint64_t detailed_cycles = 0;
   std::uint64_t prof_timed_cycles = 0;
   std::vector<double> freq_acc;
   std::vector<double> est_ema;
@@ -279,7 +278,6 @@ bool CmpSimulator::restore_checkpoint(std::string_view bytes,
     carry->epoch_acc = r.f64();
     carry->epoch_n = r.u32();
     carry->spin_gated_cycles = r.u64();
-    carry->detailed_cycles = r.u64();
     carry->prof_timed_cycles = r.u64();
   });
   carry->acct = std::string(ck.section(CkptSection::kAcct));
@@ -353,21 +351,6 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
   bool epoch_over = false;
   double epoch_acc = 0.0;
   std::uint32_t epoch_n = 0;
-
-  // Sampled fast-forward mode (SimConfig::sample_detail / sample_period):
-  // cores, memory, NoC and synchronization tick *exactly* every cycle —
-  // timing, lock handoffs and cycle counts are preserved — but outside the
-  // detailed windows the power/control plane is frozen: no power-model
-  // evaluation, no EMA update, no balancing, no enforcement ticks (DVFS
-  // ratios hold their last detailed value), no accounting. Energy results
-  // are extrapolated by the duty cycle at the end ("frozen-control
-  // fast-forward"; honest error bars live in EXPERIMENTS.md). The invariant
-  // auditor is disabled under sampling: its accounting cross-checks assume
-  // every cycle is recorded.
-  const bool sampling = cfg_.sample_period > 0 && cfg_.sample_detail > 0 &&
-                        cfg_.sample_detail < cfg_.sample_period;
-  std::uint64_t detailed_cycles = 0;
-  bool cycle_detailed = true;
 
   const double wire_overhead =
       cfg_.ptb.enabled ? (1.0 + cfg_.power.ptb_wire_overhead_frac) : 1.0;
@@ -531,7 +514,6 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
       w.f64(epoch_acc);
       w.u32(epoch_n);
       w.u64(res.spin_gated_cycles);
-      w.u64(detailed_cycles);
       // The self-profile *cycle count* is deterministic (its cadence is a
       // pure function of `now`) and feeds a sample-buffer column, so it is
       // carried; the wall-clock seconds stay volatile and uncarried.
@@ -559,7 +541,6 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
     epoch_acc = carry_->epoch_acc;
     epoch_n = carry_->epoch_n;
     res.spin_gated_cycles = carry_->spin_gated_cycles;
-    detailed_cycles = carry_->detailed_cycles;
     prof.timed_cycles = carry_->prof_timed_cycles;
     f.freq_acc = std::move(carry_->freq_acc);
     f.est_ema = std::move(carry_->est_ema);
@@ -624,14 +605,6 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
     if (now == opts.checkpoint_at && opts.checkpoint_out != nullptr) {
       *opts.checkpoint_out = capture_checkpoint();
     }
-    // Sampled simulation: the first `sample_detail` cycles of every
-    // `sample_period` run detailed; the rest fast-forward (cores, memory,
-    // NoC and sync still tick exactly — only the power/control/accounting
-    // planes are skipped, with enforcement ratios frozen).
-    cycle_detailed = !sampling || (now % cfg_.sample_period) <
-                                      cfg_.sample_detail;
-    if (cycle_detailed) ++detailed_cycles;
-
     // Stamp the cycle once; emit sites then need no cycle parameter.
     if (tracer) tracer->begin_cycle(now);
 
@@ -683,18 +656,16 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
       f.vdd[i] = vdd_ratio;
       if (active) core.tick(now);
 
-      if (cycle_detailed) {
-        f.gated[i] = (!active || core.idle()) ? 1 : 0;
-        // Actual power: exact base tokens of the instructions entering the
-        // pipeline this cycle plus the (small) ROB residency component.
-        // Front-end attribution makes the fetch-throttling techniques act
-        // on the power curve within a few cycles, as in the paper.
-        f.rob_occ[i] = core.rob_occupancy();
-        f.fetch_exact[i] = active ? core.fetch_tokens_exact() : 0.0;
-        // Control estimate: PTHT tokens of the instructions being fetched
-        // (residency folded into the stored values, III.B).
-        f.fetch_est[i] = active ? core.fetch_tokens_estimated() : 0.0;
-      }
+      f.gated[i] = (!active || core.idle()) ? 1 : 0;
+      // Actual power: exact base tokens of the instructions entering the
+      // pipeline this cycle plus the (small) ROB residency component.
+      // Front-end attribution makes the fetch-throttling techniques act on
+      // the power curve within a few cycles, as in the paper.
+      f.rob_occ[i] = core.rob_occupancy();
+      f.fetch_exact[i] = active ? core.fetch_tokens_exact() : 0.0;
+      // Control estimate: PTHT tokens of the instructions being fetched
+      // (residency folded into the stored values, III.B).
+      f.fetch_est[i] = active ? core.fetch_tokens_estimated() : 0.0;
 
       if (!f.finished[i] && core.finished()) {
         f.finished[i] = 1;
@@ -705,50 +676,43 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
     }
 
     // --- 1b. per-core power: batched model, smoothing, spin and thermal
-    //         attribution. Fast-forward cycles skip the whole power plane;
-    //         the duty-cycle extrapolation at the end of run() scales the
-    //         energy results back up. ---
-    if (cycle_detailed) {
-      const CoreActivityBatch batch{f.fetch_exact.data(), f.fetch_est.data(),
-                                    f.rob_occ.data(),     f.active.data(),
-                                    f.gated.data(),       f.vdd.data()};
-      core_cycle_power_batch(cfg_.power, batch, n, wire_overhead,
-                             f.act_power.data(),
-                             est_needed ? f.est_power.data() : nullptr);
+    //         attribution ---
+    const CoreActivityBatch batch{f.fetch_exact.data(), f.fetch_est.data(),
+                                  f.rob_occ.data(),     f.active.data(),
+                                  f.gated.data(),       f.vdd.data()};
+    core_cycle_power_batch(cfg_.power, batch, n, wire_overhead,
+                           f.act_power.data(),
+                           est_needed ? f.est_power.data() : nullptr);
+    for (CoreId i = 0; i < n; ++i) {
+      f.act_ema[i] += kEmaAlpha * (f.act_power[i] - f.act_ema[i]);
+      f.act_power[i] = f.act_ema[i];
+    }
+    if (est_needed) {
       for (CoreId i = 0; i < n; ++i) {
-        f.act_ema[i] += kEmaAlpha * (f.act_power[i] - f.act_ema[i]);
-        f.act_power[i] = f.act_ema[i];
+        f.est_ema[i] += kEmaAlpha * (f.est_power[i] - f.est_ema[i]);
+        f.est_power[i] = f.est_ema[i];
       }
-      if (est_needed) {
-        for (CoreId i = 0; i < n; ++i) {
-          f.est_ema[i] += kEmaAlpha * (f.est_power[i] - f.est_ema[i]);
-          f.est_power[i] = f.est_ema[i];
-        }
+    }
+    for (CoreId i = 0; i < n; ++i) {
+      trackers_[i].attribute_cycle(f.act_power[i]);
+      f.thermal_acc[i] += f.act_power[i];
+      if (opts.record_core_traces) {
+        res.core_power_traces[i].add(static_cast<double>(now),
+                                     f.act_power[i]);
       }
+    }
+    if ((now + 1) % kThermalStep == 0) {
       for (CoreId i = 0; i < n; ++i) {
-        trackers_[i].attribute_cycle(f.act_power[i]);
-        f.thermal_acc[i] += f.act_power[i];
-        if (opts.record_core_traces) {
-          res.core_power_traces[i].add(static_cast<double>(now),
-                                       f.act_power[i]);
-        }
-      }
-      if ((now + 1) % kThermalStep == 0) {
-        for (CoreId i = 0; i < n; ++i) {
-          thermal_.step(
-              i, f.thermal_acc[i] / static_cast<double>(kThermalStep),
-              static_cast<double>(kThermalStep));
-          f.thermal_acc[i] = 0.0;
-        }
+        thermal_.step(i, f.thermal_acc[i] / static_cast<double>(kThermalStep),
+                      static_cast<double>(kThermalStep));
+        f.thermal_acc[i] = 0.0;
       }
     }
 
     if (prof_cycle) pt = prof_lap(pt, prof.tick_s);
 
-    // Progress callback (RunObserver): fires in both detailed and
-    // fast-forward cycles so a sampled run still reports. Read-only over
-    // deterministic state — emitting progress can never change a result
-    // byte.
+    // Progress callback (RunObserver): read-only over deterministic state —
+    // emitting progress can never change a result byte.
     if (progress_on && (now + 1) % opts.observer->progress_every == 0) {
       RunProgress p;
       p.cycle = now + 1;
@@ -759,17 +723,7 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
       p.ipc = static_cast<double>(p.committed) /
               static_cast<double>(now + 1);
       p.watts = acct.power_stat().mean();
-      p.detailed = cycle_detailed;
       opts.observer->progress(p);
-    }
-    // Fast-forward cycles end here: the architectural planes above ran
-    // exactly; the power/control/accounting phases below are skipped with
-    // control state (enforcement ratios, balancer wires, EMAs) frozen.
-    // The flit hops this cycle's accesses routed are drained and discarded
-    // so they don't leak into the next detailed cycle's energy.
-    if (!cycle_detailed) {
-      (void)mesh_->drain_flit_hops();
-      continue;
     }
     // CMP-wide totals use the one canonical FP reduction order.
     double total_act = deterministic_total(f.act_power.data(), n);
@@ -781,7 +735,7 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
                  kNocTokensPerFlitHop;
 
     // --- 2. global over-budget signal ---
-    if (tracer && now % cfg_.trace.budget_sample_period == 0) {
+    if (tracer && now % cfg_.trace.budget_sample_every == 0) {
       // Deficit of the *control* signal (the PTHT estimate the balancer and
       // enforcers act on); negative while under budget.
       tracer->emit(TraceEventType::kBudgetSample, kNoCore, 0,
@@ -855,10 +809,8 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
       res.cmp_power_trace.add(static_cast<double>(now), total_act);
     }
 
-    // --- 5. invariant audit (off the results path; read-only). Disabled
-    //        under sampling: the accounting cross-checks assume every
-    //        cycle is recorded. ---
-    if (auditor_ && !sampling) {
+    // --- 5. invariant audit (off the results path; read-only) ---
+    if (auditor_) {
       audit_cycle(now, acct, total_act, f.eff_budget.data());
     }
 
@@ -868,7 +820,7 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
     if (prof_cycle) prof_lap(pt, prof.account_s);
   }
 
-  if (auditor_ && !sampling) {
+  if (auditor_) {
     // The periodic scan can miss the tail of the run; always close with a
     // full coherence sweep so short runs are audited end-to-end too.
     if (auditor_->level() == AuditLevel::kFull) {
@@ -882,18 +834,8 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
 
   res.cycles = now;
   res.hit_max_cycles = (finished_count < n);
-  // Sampled runs extrapolate energy by the duty cycle: only detailed
-  // cycles accounted power, so the totals scale by cycles/detailed.
-  // state_cycles stay raw detailed-window counts (scaling integer cycle
-  // tallies would fabricate precision); a non-sampling run multiplies by
-  // exactly 1.0 — byte-identical.
-  double sample_scale = 1.0;
-  if (sampling && detailed_cycles > 0) {
-    sample_scale =
-        static_cast<double>(now) / static_cast<double>(detailed_cycles);
-  }
-  res.energy = acct.energy() * sample_scale;
-  res.aopb = acct.aopb() * sample_scale;
+  res.energy = acct.energy();
+  res.aopb = acct.aopb();
   res.power = acct.power_stat();
   for (CoreId i = 0; i < n; ++i) {
     CoreResult& c = res.cores[i];
@@ -903,8 +845,8 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
       c.state_cycles[s] =
           trackers_[i].cycles_in(static_cast<ExecState>(s));
     }
-    c.spin_energy = trackers_[i].spin_power() * sample_scale;
-    c.energy = trackers_[i].total_power() * sample_scale;
+    c.spin_energy = trackers_[i].spin_power();
+    c.energy = trackers_[i].total_power();
     c.temp_mean = thermal_.history(i).mean();
     c.temp_std = thermal_.history(i).stddev();
     res.spin_energy += c.spin_energy;

@@ -124,7 +124,6 @@ struct RunProgress {
   std::uint64_t committed = 0;  // instructions committed, all cores
   double ipc = 0.0;             // committed / cycle (CMP aggregate)
   double watts = 0.0;           // mean per-cycle CMP power so far
-  bool detailed = true;         // false inside a sampled fast-forward window
 };
 
 /// Host-side observation hooks for one run, threaded through RunOptions by

@@ -207,40 +207,29 @@ bool RunArtifact::parse(std::string_view payload, RunArtifact& out) {
   if (v == nullptr || !v->as_u32(schema) || schema != kSchemaVersion)
     return false;
 
-  const auto str = [&](const char* k, std::string& dst) {
-    const json::Value* m = doc.find(k);
-    if (m == nullptr || !m->is_string()) return false;
-    dst = m->as_string();
-    return true;
-  };
   const auto hex = [&](const char* k, std::uint64_t& dst) {
     std::string s;
-    return str(k, s) && parse_hex16(s, dst);
+    return doc.get_string(k, s) && parse_hex16(s, dst);
   };
   const auto u64 = [&](const char* k, std::uint64_t& dst) {
     const json::Value* m = doc.find(k);
     return m != nullptr && m->as_u64(dst);
   };
-  const auto f64 = [&](const char* k, double& dst) {
-    const json::Value* m = doc.find(k);
-    if (m == nullptr || !m->is_number()) return false;
-    dst = m->as_double();
-    return true;
-  };
 
   std::uint64_t cores = 0;
   const json::Value* b = doc.find("hit_max_cycles");
-  if (!str("benchmark", a.benchmark) || !u64("num_cores", cores) ||
+  if (!doc.get_string("benchmark", a.benchmark) || !u64("num_cores", cores) ||
       cores > 0xffffffffull || !hex("key", a.key) ||
       !hex("config_fingerprint", a.config_fingerprint) ||
       !hex("machine_fingerprint", a.machine_fingerprint) ||
       !u64("cycles", a.cycles) || b == nullptr || !b->is_bool() ||
-      !f64("energy", a.energy) || !f64("aopb", a.aopb) ||
-      !f64("budget", a.budget) || !f64("peak_power", a.peak_power) ||
-      !f64("spin_energy", a.spin_energy) ||
+      !doc.get_number("energy", a.energy) || !doc.get_number("aopb", a.aopb) ||
+      !doc.get_number("budget", a.budget) ||
+      !doc.get_number("peak_power", a.peak_power) ||
+      !doc.get_number("spin_energy", a.spin_energy) ||
       !u64("total_committed", a.total_committed) ||
-      !str("summary_kv", a.summary_kv) ||
-      !str("stats_json", a.stats_json)) {
+      !doc.get_string("summary_kv", a.summary_kv) ||
+      !doc.get_string("stats_json", a.stats_json)) {
     return false;
   }
   a.num_cores = static_cast<std::uint32_t>(cores);

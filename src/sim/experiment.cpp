@@ -28,8 +28,6 @@ TechniqueSpec base_technique() {
 
 namespace {
 AuditLevel g_default_audit_level = AuditLevel::kOff;
-Cycle g_default_sample_detail = 0;
-Cycle g_default_sample_period = 0;
 }  // namespace
 
 void set_default_audit_level(AuditLevel level) {
@@ -37,14 +35,6 @@ void set_default_audit_level(AuditLevel level) {
 }
 
 AuditLevel default_audit_level() { return g_default_audit_level; }
-
-void set_default_sample_windows(Cycle detail, Cycle period) {
-  g_default_sample_detail = detail;
-  g_default_sample_period = period;
-}
-
-Cycle default_sample_detail() { return g_default_sample_detail; }
-Cycle default_sample_period() { return g_default_sample_period; }
 
 SimConfig make_sim_config(std::uint32_t cores, const TechniqueSpec& tech,
                           std::uint64_t seed) {
@@ -56,8 +46,6 @@ SimConfig make_sim_config(std::uint32_t cores, const TechniqueSpec& tech,
   cfg.ptb.policy = tech.policy;
   cfg.ptb.relax_threshold = tech.relax;
   cfg.audit_level = g_default_audit_level;
-  cfg.sample_detail = g_default_sample_detail;
-  cfg.sample_period = g_default_sample_period;
   return cfg;
 }
 

@@ -48,7 +48,7 @@ std::vector<TechniqueSpec> naive_techniques();
 TechniqueSpec base_technique();
 
 /// Build a full simulator config for one run. Pure apart from the process-
-/// wide default audit level and sim-thread count below.
+/// wide default audit level below.
 SimConfig make_sim_config(std::uint32_t cores, const TechniqueSpec& tech,
                           std::uint64_t seed = 1);
 
@@ -59,16 +59,6 @@ SimConfig make_sim_config(std::uint32_t cores, const TechniqueSpec& tech,
 /// thread-safe: set it before submitting work to a RunPool.
 void set_default_audit_level(AuditLevel level);
 AuditLevel default_audit_level();
-
-/// Process-wide sampled-simulation windows stamped into every config
-/// make_sim_config builds (default 0/0 = every cycle detailed; see
-/// SimConfig::sample_detail/sample_period). Unlike the knobs above this IS
-/// an experiment parameter — sampling approximates results and folds into
-/// the config fingerprint. The bench binaries set it from
-/// --sample-windows. Not thread-safe: set before submitting pool work.
-void set_default_sample_windows(Cycle detail, Cycle period);
-Cycle default_sample_detail();
-Cycle default_sample_period();
 
 /// Figure-style normalization vs the no-control base case.
 struct Normalized {

@@ -202,13 +202,6 @@ std::uint64_t config_fingerprint(const SimConfig& cfg) {
   fnv_mix_value(h, cfg.seed);
   fnv_mix_value(h, cfg.max_cycles);
   fnv_mix_value(h, cfg.functional_warmup);
-  // Sampling approximates the power/control planes, so active sampling
-  // configs hash distinctly; the default (off) keeps every pre-existing
-  // fingerprint, same idiom as toall_redistribute above.
-  if (cfg.sample_detail != 0 || cfg.sample_period != 0) {
-    fnv_mix_value(h, cfg.sample_detail);
-    fnv_mix_value(h, cfg.sample_period);
-  }
   return h;
 }
 

@@ -1,232 +1,22 @@
 #include "stats/dump.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
-#include "common/assert.hpp"
 #include "common/format.hpp"
+#include "common/json.hpp"
 
 namespace ptb {
 
 namespace {
 
-// --- tiny JSON writer helpers ------------------------------------------
-
+/// Quoted JSON string literal.
 std::string jstr(const std::string& s) {
-  std::string out = "\"";
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(ch));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-// --- tiny JSON reader ----------------------------------------------------
-// Recursive-descent parser for exactly the documents to_json emits (plus
-// whitespace tolerance). Numbers parse as doubles; objects keep insertion
-// order. Strict enough to reject truncated/corrupt dumps.
-
-struct Json {
-  enum class T : std::uint8_t { kNull, kBool, kNum, kStr, kArr, kObj };
-  T t = T::kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<Json> arr;
-  std::vector<std::pair<std::string, Json>> obj;
-
-  const Json* get(std::string_view key) const {
-    for (const auto& [k, v] : obj)
-      if (k == key) return &v;
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : s_(text) {}
-
-  bool parse(Json& out) {
-    if (!value(out)) return false;
-    skip_ws();
-    return pos_ == s_.size();  // no trailing garbage
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-            s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool eat(char c) {
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool literal(std::string_view lit) {
-    if (s_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  bool string(std::string& out) {
-    if (!eat('"')) return false;
-    out.clear();
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return false;
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) return false;
-            unsigned v = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = s_[pos_++];
-              v <<= 4;
-              if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f')
-                v |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F')
-                v |= static_cast<unsigned>(h - 'A' + 10);
-              else return false;
-            }
-            // Our writer only escapes control chars; anything in the BMP
-            // below 0x80 round-trips, the rest is preserved as UTF-8.
-            if (v < 0x80) {
-              out += static_cast<char>(v);
-            } else if (v < 0x800) {
-              out += static_cast<char>(0xC0 | (v >> 6));
-              out += static_cast<char>(0x80 | (v & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (v >> 12));
-              out += static_cast<char>(0x80 | ((v >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (v & 0x3F));
-            }
-            break;
-          }
-          default: return false;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool value(Json& out) {
-    skip_ws();
-    if (pos_ >= s_.size()) return false;
-    const char c = s_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out.t = Json::T::kObj;
-      skip_ws();
-      if (eat('}')) return true;
-      while (true) {
-        std::string key;
-        if (!string(key) || !eat(':')) return false;
-        Json v;
-        if (!value(v)) return false;
-        out.obj.emplace_back(std::move(key), std::move(v));
-        if (eat(',')) continue;
-        return eat('}');
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      out.t = Json::T::kArr;
-      skip_ws();
-      if (eat(']')) return true;
-      while (true) {
-        Json v;
-        if (!value(v)) return false;
-        out.arr.push_back(std::move(v));
-        if (eat(',')) continue;
-        return eat(']');
-      }
-    }
-    if (c == '"') {
-      out.t = Json::T::kStr;
-      return string(out.str);
-    }
-    if (c == 't') { out.t = Json::T::kBool; out.b = true;
-                    return literal("true"); }
-    if (c == 'f') { out.t = Json::T::kBool; out.b = false;
-                    return literal("false"); }
-    if (c == 'n') { out.t = Json::T::kNull; return literal("null"); }
-    // number
-    const std::size_t start = pos_;
-    if (c == '-' || c == '+') ++pos_;
-    bool digits = false;
-    bool dot = false;
-    bool exp = false;
-    while (pos_ < s_.size()) {
-      const char d = s_[pos_];
-      if (d >= '0' && d <= '9') { digits = true; ++pos_; }
-      else if (d == '.' && !dot && !exp) { dot = true; ++pos_; }
-      else if ((d == 'e' || d == 'E') && digits && !exp) {
-        exp = true;
-        ++pos_;
-        if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (!digits) return false;
-    out.t = Json::T::kNum;
-    out.num = std::strtod(std::string(s_.substr(start, pos_ - start)).c_str(),
-                          nullptr);
-    return true;
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
-
-bool get_num(const Json& obj, std::string_view key, double& out) {
-  const Json* v = obj.get(key);
-  if (v == nullptr || v->t != Json::T::kNum) return false;
-  out = v->num;
-  return true;
-}
-
-bool get_str(const Json& obj, std::string_view key, std::string& out) {
-  const Json* v = obj.get(key);
-  if (v == nullptr || v->t != Json::T::kStr) return false;
-  out = v->str;
-  return true;
+  return "\"" + json::escape(s) + "\"";
 }
 
 /// Prometheus metric name: "ptb_" + name with every non-[a-zA-Z0-9_]
@@ -239,6 +29,17 @@ std::string prom_name(const std::string& name) {
     out += ok ? c : '_';
   }
   return out;
+}
+
+/// Dumps carry integers as JSON numbers: read as a double and truncated,
+/// which keeps ptb-stats output byte-stable. A value outside T's range is
+/// rejected, because the cast would be undefined.
+template <typename T>
+bool to_uint(double v, T& out) {
+  const double end = static_cast<double>(std::numeric_limits<T>::max()) + 1.0;
+  if (!(v >= 0.0 && v < end)) return false;
+  out = static_cast<T>(v);
+  return true;
 }
 
 std::string fingerprint_hex(std::uint64_t fp) {
@@ -406,90 +207,96 @@ std::string StatsDump::to_prometheus() const {
 }
 
 bool StatsDump::parse_json(std::string_view text, StatsDump& out) {
-  Json root;
-  if (!JsonParser(text).parse(root) || root.t != Json::T::kObj) return false;
+  json::Value root;
+  std::string err;
+  if (!json::parse(text, root, err) || !root.is_object()) return false;
   std::string kind;
-  if (!get_str(root, "kind", kind) || kind != "ptb-stats") return false;
-  double schema = 0.0;
-  if (!get_num(root, "schema_version", schema) ||
-      static_cast<std::uint32_t>(schema) != kSchemaVersion) {
+  if (!root.get_string("kind", kind) || kind != "ptb-stats") return false;
+  double num = 0.0;
+  std::uint32_t schema = 0;
+  if (!root.get_number("schema_version", num) || !to_uint(num, schema) ||
+      schema != kSchemaVersion) {
     return false;
   }
   StatsDump d;
-  if (!get_str(root, "bench", d.bench)) return false;
-  double num = 0.0;
-  if (!get_num(root, "num_cores", num)) return false;
-  d.num_cores = static_cast<std::uint32_t>(num);
-  if (!get_num(root, "cycles", num)) return false;
-  d.cycles = static_cast<std::uint64_t>(num);
+  if (!root.get_string("bench", d.bench)) return false;
+  if (!root.get_number("num_cores", num) || !to_uint(num, d.num_cores)) {
+    return false;
+  }
+  if (!root.get_number("cycles", num) || !to_uint(num, d.cycles)) {
+    return false;
+  }
   std::string fp;
-  if (!get_str(root, "config_fingerprint", fp)) return false;
+  if (!root.get_string("config_fingerprint", fp)) return false;
   d.config_fingerprint = std::strtoull(fp.c_str(), nullptr, 16);
 
-  const Json* stats = root.get("stats");
-  if (stats == nullptr || stats->t != Json::T::kArr) return false;
-  for (const Json& e : stats->arr) {
-    if (e.t != Json::T::kObj) return false;
+  const json::Value* stats = root.find("stats");
+  if (stats == nullptr || !stats->is_array()) return false;
+  for (const json::Value& e : stats->array()) {
+    if (!e.is_object()) return false;
     Scalar s;
-    if (!get_str(e, "name", s.name)) return false;
+    if (!e.get_string("name", s.name)) return false;
     std::string ks;
-    if (!get_str(e, "kind", ks) || !parse_stat_kind(ks, s.kind)) return false;
-    get_str(e, "desc", s.desc);
-    if (const Json* v = e.get("volatile"); v != nullptr)
-      s.is_volatile = v->t == Json::T::kBool && v->b;
-    if (const Json* v = e.get("integral"); v != nullptr)
-      s.integral = v->t == Json::T::kBool && v->b;
-    if (!get_num(e, "value", s.value)) return false;
-    if (s.integral) s.u64 = static_cast<std::uint64_t>(s.value);
-    d.scalars.push_back(std::move(s));
-  }
-  const Json* dists = root.get("distributions");
-  if (dists == nullptr || dists->t != Json::T::kArr) return false;
-  for (const Json& e : dists->arr) {
-    if (e.t != Json::T::kObj) return false;
-    Dist h;
-    if (!get_str(e, "name", h.name)) return false;
-    get_str(e, "desc", h.desc);
-    if (!get_num(e, "lo", h.lo) || !get_num(e, "hi", h.hi) ||
-        !get_num(e, "sum", h.sum)) {
+    if (!e.get_string("kind", ks) || !parse_stat_kind(ks, s.kind)) {
       return false;
     }
-    if (!get_num(e, "total", num)) return false;
-    h.total = static_cast<std::uint64_t>(num);
-    const Json* counts = e.get("counts");
-    if (counts == nullptr || counts->t != Json::T::kArr) return false;
-    for (const Json& c : counts->arr) {
-      if (c.t != Json::T::kNum) return false;
-      h.counts.push_back(static_cast<std::uint64_t>(c.num));
+    e.get_string("desc", s.desc);
+    if (const json::Value* v = e.find("volatile"); v != nullptr)
+      s.is_volatile = v->is_bool() && v->as_bool();
+    if (const json::Value* v = e.find("integral"); v != nullptr)
+      s.integral = v->is_bool() && v->as_bool();
+    if (!e.get_number("value", s.value)) return false;
+    if (s.integral && !to_uint(s.value, s.u64)) return false;
+    d.scalars.push_back(std::move(s));
+  }
+  const json::Value* dists = root.find("distributions");
+  if (dists == nullptr || !dists->is_array()) return false;
+  for (const json::Value& e : dists->array()) {
+    if (!e.is_object()) return false;
+    Dist h;
+    if (!e.get_string("name", h.name)) return false;
+    e.get_string("desc", h.desc);
+    if (!e.get_number("lo", h.lo) || !e.get_number("hi", h.hi) ||
+        !e.get_number("sum", h.sum)) {
+      return false;
+    }
+    if (!e.get_number("total", num) || !to_uint(num, h.total)) return false;
+    const json::Value* counts = e.find("counts");
+    if (counts == nullptr || !counts->is_array()) return false;
+    for (const json::Value& c : counts->array()) {
+      std::uint64_t count = 0;
+      if (!c.is_number() || !to_uint(c.as_double(), count)) return false;
+      h.counts.push_back(count);
     }
     d.dists.push_back(std::move(h));
   }
-  const Json* samples = root.get("samples");
-  if (samples == nullptr || samples->t != Json::T::kObj) return false;
-  if (!get_num(*samples, "every", num)) return false;
-  d.sample_every = static_cast<Cycle>(num);
-  const Json* cycles = samples->get("cycles");
-  const Json* columns = samples->get("columns");
-  const Json* values = samples->get("values");
-  if (cycles == nullptr || cycles->t != Json::T::kArr || columns == nullptr ||
-      columns->t != Json::T::kArr || values == nullptr ||
-      values->t != Json::T::kArr) {
+  const json::Value* samples = root.find("samples");
+  if (samples == nullptr || !samples->is_object()) return false;
+  if (!samples->get_number("every", num) || !to_uint(num, d.sample_every)) {
     return false;
   }
-  for (const Json& c : cycles->arr) {
-    if (c.t != Json::T::kNum) return false;
-    d.sample_cycles.push_back(static_cast<Cycle>(c.num));
+  const json::Value* cycles = samples->find("cycles");
+  const json::Value* columns = samples->find("columns");
+  const json::Value* values = samples->find("values");
+  if (cycles == nullptr || !cycles->is_array() || columns == nullptr ||
+      !columns->is_array() || values == nullptr || !values->is_array()) {
+    return false;
   }
-  for (const Json& c : columns->arr) {
-    if (c.t != Json::T::kStr) return false;
-    d.sample_columns.push_back(c.str);
+  for (const json::Value& c : cycles->array()) {
+    Cycle cycle = 0;
+    if (!c.is_number() || !to_uint(c.as_double(), cycle)) return false;
+    d.sample_cycles.push_back(cycle);
   }
-  for (const Json& col : values->arr) {
-    if (col.t != Json::T::kArr) return false;
+  for (const json::Value& c : columns->array()) {
+    if (!c.is_string()) return false;
+    d.sample_columns.push_back(c.as_string());
+  }
+  for (const json::Value& col : values->array()) {
+    if (!col.is_array()) return false;
     std::vector<double> v;
-    for (const Json& c : col.arr) {
-      if (c.t != Json::T::kNum) return false;
-      v.push_back(c.num);
+    for (const json::Value& c : col.array()) {
+      if (!c.is_number()) return false;
+      v.push_back(c.as_double());
     }
     d.sample_values.push_back(std::move(v));
   }

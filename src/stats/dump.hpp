@@ -69,7 +69,8 @@ struct StatsDump {
 
   std::string to_json(bool include_volatile = true) const;
   std::string to_prometheus() const;
-  /// Parses to_json output; returns false (out untouched) on malformed or
+  /// Parses to_json output with the shared parser (common/json.hpp);
+  /// returns false (out untouched) on malformed, over-nested or
   /// schema-mismatched input.
   static bool parse_json(std::string_view text, StatsDump& out);
 };

@@ -415,7 +415,7 @@ TEST(ServeE2E, EventsStreamProgressThenTerminal) {
   EXPECT_LT(unit, done);
   // Progress payloads carry the live simulation counters.
   for (const char* field : {"\"cycle\":", "\"max_cycles\":", "\"ipc\":",
-                            "\"watts\":", "\"phase\":"}) {
+                            "\"watts\":", "\"cores_finished\":"}) {
     EXPECT_NE(stream.body.find(field), std::string::npos) << field;
   }
   EXPECT_NE(stream.body.find("\"state\":\"done\""), std::string::npos);

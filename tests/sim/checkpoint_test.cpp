@@ -9,10 +9,7 @@
 //     same full config fingerprint, at any cycle including 0;
 //   - the headline guarantee: a run restored from a mid-run checkpoint
 //     finishes bit-identical — RunResult fields, serialized event-trace
-//     bytes and the deterministic stats dump — to the uninterrupted run;
-//   - sampled simulation: fast-forward windows preserve completion timing,
-//     stay deterministic across runs, and fold into the config
-//     fingerprint.
+//     bytes and the deterministic stats dump — to the uninterrupted run.
 #include "sim/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -292,20 +289,20 @@ TEST(CheckpointRestore, MidRunFrameResavesByteIdentical) {
   }
 }
 
-// A frame of the previous format (version 3: the per-core section still
-// carries the issue cursor) is refused by version, before any section is
-// parsed.
+// A frame of the previous format (version 4: the run section still
+// carries the sampled-simulation detailed-cycle counter) is refused by
+// version, before any section is parsed.
 TEST(CheckpointRestore, PreviousVersionFrameRejected) {
   const WorkloadProfile p = small_profile();
   const SimConfig cfg = make_sim_config(4, ptb_spec());
   std::string ckpt = capture_at(p, cfg, 500);
   ASSERT_GE(ckpt.size(), 8u);
-  ASSERT_EQ(kCheckpointVersion, 4u);
-  ckpt[4] = 3;  // u32 version, little-endian, after the magic
+  ASSERT_EQ(kCheckpointVersion, 5u);
+  ckpt[4] = 4;  // u32 version, little-endian, after the magic
   CmpSimulator sim(cfg, p);
   std::string err;
   EXPECT_FALSE(sim.restore_checkpoint(ckpt, &err));
-  EXPECT_NE(err.find("unsupported checkpoint version 3"), std::string::npos)
+  EXPECT_NE(err.find("unsupported checkpoint version 4"), std::string::npos)
       << err;
 }
 
@@ -364,55 +361,6 @@ TEST(CheckpointFingerprint, ExcludesTechniqueIncludesCycle) {
   c.seed = a.seed + 1;
   EXPECT_NE(checkpoint_fingerprint(a, "fft", 0),
             checkpoint_fingerprint(c, "fft", 0));
-}
-
-// --- sampled simulation -----------------------------------------------------
-
-TEST(SampledSim, PreservesCompletionAndScalesEnergy) {
-  const WorkloadProfile p = small_profile();
-  SimConfig full_cfg = make_sim_config(4, base_spec());
-  const RunResult full = CmpSimulator(full_cfg, p).run();
-  ASSERT_FALSE(full.hit_max_cycles);
-
-  SimConfig cfg = full_cfg;
-  cfg.sample_detail = 200;
-  cfg.sample_period = 1000;
-  const RunResult sampled = CmpSimulator(cfg, p).run();
-  ASSERT_FALSE(sampled.hit_max_cycles);
-  // Fast-forward never skips an architectural tick: completion timing is
-  // exact, per-core committed counts included.
-  EXPECT_EQ(sampled.cycles, full.cycles);
-  EXPECT_EQ(sampled.total_committed, full.total_committed);
-  for (std::size_t i = 0; i < full.cores.size(); ++i) {
-    EXPECT_EQ(sampled.cores[i].finish_cycle, full.cores[i].finish_cycle);
-    EXPECT_EQ(sampled.cores[i].committed, full.cores[i].committed);
-  }
-  // Energy is extrapolated from a 20% duty cycle: approximate, but it must
-  // land in the right ballpark (EXPERIMENTS.md quantifies the error).
-  EXPECT_GT(sampled.energy, 0.5 * full.energy);
-  EXPECT_LT(sampled.energy, 2.0 * full.energy);
-}
-
-TEST(SampledSim, DeterministicAcrossRuns) {
-  const WorkloadProfile p = small_profile();
-  SimConfig cfg = make_sim_config(4, ptb_spec());
-  cfg.sample_detail = 250;
-  cfg.sample_period = 1000;
-  expect_bit_identical(CmpSimulator(cfg, p).run(),
-                       CmpSimulator(cfg, p).run());
-}
-
-TEST(SampledSim, KnobsFoldIntoConfigFingerprintWhenActive) {
-  const SimConfig off = make_sim_config(4, base_spec());
-  SimConfig on = off;
-  on.sample_detail = 200;
-  on.sample_period = 1000;
-  // Result-changing -> distinct config fingerprint; machine unchanged.
-  EXPECT_NE(config_fingerprint(off), config_fingerprint(on));
-  EXPECT_EQ(machine_fingerprint(off), machine_fingerprint(on));
-  SimConfig other = on;
-  other.sample_detail = 400;
-  EXPECT_NE(config_fingerprint(on), config_fingerprint(other));
 }
 
 }  // namespace

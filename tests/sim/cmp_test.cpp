@@ -179,7 +179,11 @@ TEST(CmpSimulator, SingleCoreDegenerateCaseWorks) {
 // pin frequency-only tick skipping (a core sits out whole cycles with ops in
 // flight); they run at a 30% budget because DFS never throttles this
 // profile at the default 50%. The small-LSQ row pins the LSQ-full fetch
-// stall, which the default 64-entry LSQ never reaches.
+// stall, which the default 64-entry LSQ never reaches. Every row also
+// asserts the activity of the controller it names (token grants, DVFS
+// transitions, barrier sleeps, meeting-point episodes). The default-budget
+// DVFS rows make no transition on this profile, so they are marked as
+// pinning the idle-enforcer path; the 30%-budget DVFS rows pin real DVFS.
 std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
   for (const unsigned char c : s) {
     h ^= c;
@@ -199,6 +203,9 @@ struct GoldenCase {
   std::uint32_t issue_width = 0;  // 0 = the default core
   std::uint32_t lsq_entries = 0;  // 0 = the default core
   double budget_fraction = 0.0;   // 0 = the default budget
+  // The enforcer never fires on this row (0 DVFS transitions): it pins the
+  // idle-enforcer path, not DVFS itself.
+  bool idle_enforcer = false;
 };
 
 TEST(CmpSimulator, GoldenCycleLoopDigests) {
@@ -218,12 +225,13 @@ TEST(CmpSimulator, GoldenCycleLoopDigests) {
                               false, PtbPolicy::kToAll, 0.0};
   const std::vector<GoldenCase> cases = {
       {"base", 4, base, false, 0, 0x79465eca4d92134aull},
-      {"dvfs", 4, dvfs, false, 0, 0xa5b8ba4e9df03df5ull},
+      {"dvfs", 4, dvfs, false, 0, 0xa5b8ba4e9df03df5ull, 0, 0, 0, 0.0, true},
       {"ptb+2l(dyn)", 4, ptb_dyn, false, 0, 0xe9b8d83b2dfec6c0ull},
       {"thrifty", 4, thrifty, false, 0, 0x0909fb56113f4e8eull},
       {"meeting", 4, meeting, false, 0, 0xa3d932958abace12ull},
       {"base", 16, base, false, 0, 0xdae274c3cde7b1d5ull},
-      {"dvfs", 16, dvfs, false, 0, 0x1bfd7b705ffb447dull},
+      {"dvfs", 16, dvfs, false, 0, 0x1bfd7b705ffb447dull, 0, 0, 0, 0.0,
+       true},
       {"ptb+2l(dyn)", 16, ptb_dyn, false, 0, 0x841712e75c1fc629ull},
       {"ptb+2l(toone)", 16, ptb_one, false, 0, 0x653ff68305a33a14ull},
       {"thrifty", 16, thrifty, false, 0, 0xd14b0b56e140e021ull},
@@ -234,13 +242,18 @@ TEST(CmpSimulator, GoldenCycleLoopDigests) {
       {"ptb+2l(dyn)+rob96", 16, ptb_dyn, false, 0, 0xcee07650b6752eaeull, 96,
        0},
       {"base+issue1", 4, base, false, 0, 0x56e2c7a4911cd4e7ull, 0, 1},
-      {"dvfs+issue1", 4, dvfs, false, 0, 0x483e69e3c06fda5full, 0, 1},
+      {"dvfs+issue1", 4, dvfs, false, 0, 0x483e69e3c06fda5full, 0, 1, 0, 0.0,
+       true},
       {"base+rob8", 4, base, false, 0, 0x7ddccb84ee86b4c0ull, 8, 0},
       {"thrifty+rob8", 4, thrifty, false, 0, 0x798e071a69e98e05ull, 8, 0},
       {"dfs+budget30", 4, dfs, false, 0, 0x6776b7fefb029b96ull, 0, 0, 0, 0.3},
       {"dfs+budget30", 16, dfs, false, 0, 0x60593939a4c6e6b6ull, 0, 0, 0,
        0.3},
       {"base+lsq4", 4, base, false, 0, 0x3fd4ec381cc3ecc5ull, 0, 0, 4},
+      {"dvfs+budget30", 4, dvfs, false, 0, 0xcfb4e27ba9062fa7ull, 0, 0, 0,
+       0.3},
+      {"dvfs+budget30", 16, dvfs, false, 0, 0x3996ed9e5cc62014ull, 0, 0, 0,
+       0.3},
   };
   const WorkloadProfile p = sync_heavy_profile();
   RunOptions opts;
@@ -266,6 +279,20 @@ TEST(CmpSimulator, GoldenCycleLoopDigests) {
     h = fnv1a(h, r.trace->serialize());
     h = fnv1a(h, r.stats->to_json(/*include_volatile=*/false));
     EXPECT_EQ(h, c.digest) << "actual digest 0x" << std::hex << h;
+    // Each row must run the path it names, not just pin its bytes.
+    if (c.tech.ptb) {
+      EXPECT_GT(r.tokens_granted, 0.0);
+    } else if (c.tech.kind == TechniqueKind::kDvfs) {
+      if (c.idle_enforcer) {
+        EXPECT_EQ(r.dvfs_transitions, 0u);
+      } else {
+        EXPECT_GT(r.dvfs_transitions, 0u);
+      }
+    } else if (c.tech.kind == TechniqueKind::kThriftyBarrier) {
+      EXPECT_GT(r.barrier_sleep_cycles, 0u);
+    } else if (c.tech.kind == TechniqueKind::kMeetingPoints) {
+      EXPECT_GT(r.meeting_point_episodes, 0u);
+    }
     if (c.lsq_entries != 0) {  // the row exists to reach the LSQ-full stall
       const StatsDump::Scalar* lsq = r.stats->find("core.0.stall.lsq");
       ASSERT_NE(lsq, nullptr);

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/cmp.hpp"
@@ -204,6 +205,25 @@ TEST(StatsDump, ParseRejectsGarbage) {
   const std::string good = tiny_dump().to_json();
   EXPECT_FALSE(StatsDump::parse_json(good + "trailing", out));
   EXPECT_TRUE(StatsDump::parse_json(good, out));
+  // An integer field out of its type's range is rejected, not cast.
+  const std::string cores = "\"num_cores\":2";
+  ASSERT_NE(good.find(cores), std::string::npos);
+  for (const char* bad : {"-1", "1e300", "4294967296"}) {
+    std::string doc = good;
+    doc.replace(doc.find(cores), cores.size(),
+                std::string("\"num_cores\":") + bad);
+    EXPECT_FALSE(StatsDump::parse_json(doc, out)) << bad;
+  }
+}
+
+// Nesting is bounded by the shared parser (common/json.hpp): a dump nested
+// far past any real one is rejected instead of overflowing the stack.
+TEST(StatsDump, ParseRejectsDeepNesting) {
+  StatsDump out;
+  EXPECT_FALSE(StatsDump::parse_json(
+      "{\"kind\":\"ptb-stats\",\"x\":" + std::string(100000, '['), out));
+  EXPECT_FALSE(StatsDump::parse_json(
+      std::string(100000, '[') + std::string(100000, ']'), out));
 }
 
 TEST(StatsDiff, ExactAndToleranced) {
@@ -262,6 +282,29 @@ SimConfig ptb_cfg(std::uint32_t cores) {
   SimConfig cfg = make_sim_config(cores, t);
   cfg.max_cycles = 500000;
   return cfg;
+}
+
+// A dump cut anywhere before its closing brace is rejected: ptb-stats
+// never reads a truncated file as a shorter dump.
+TEST(SimulatorStats, ParseRejectsEveryTruncationOfARealDump) {
+  RunOptions opts;
+  opts.stats_sample_every = 4000;
+  const RunResult r = CmpSimulator(ptb_cfg(2), small_profile()).run(opts);
+  const std::string json = stats_json(r);
+  StatsDump out;
+  ASSERT_TRUE(StatsDump::parse_json(json, out));
+  ASSERT_FALSE(out.sample_cycles.empty());
+  const std::size_t close = json.rfind('}');
+  ASSERT_NE(close, std::string::npos);
+  std::size_t accepted = 0;
+  std::size_t first = 0;
+  for (std::size_t n = 0; n <= close; ++n) {
+    if (StatsDump::parse_json(std::string_view(json).substr(0, n), out)) {
+      if (accepted++ == 0) first = n;
+    }
+  }
+  EXPECT_EQ(accepted, 0u) << "first accepted prefix: " << first << " of "
+                          << json.size() << " bytes";
 }
 
 TEST(SimulatorStats, DumpMatchesRunResult) {

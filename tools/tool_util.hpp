@@ -3,6 +3,7 @@
 // (no simulation code) — keep this header that way too.
 #pragma once
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -46,20 +47,23 @@ inline bool parse_double_arg(const char* s, double& out) {
   return end != s && *end == '\0';
 }
 
-/// Strict u64 parse; false on garbage.
+/// Strict u64 parse: decimal digits only (no sign, no whitespace), no
+/// overflow; false otherwise.
 inline bool parse_u64_arg(const char* s, std::uint64_t& out) {
+  if (*s < '0' || *s > '9') return false;
+  errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
+  if (*end != '\0' || errno == ERANGE) return false;
   out = static_cast<std::uint64_t>(v);
   return true;
 }
 
-/// Strict unsigned parse; false on garbage.
+/// Strict u32 parse, same rules as parse_u64_arg; false on garbage or a
+/// value above UINT32_MAX.
 inline bool parse_u32_arg(const char* s, std::uint32_t& out) {
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(s, &end, 10);
-  if (end == s || *end != '\0') return false;
+  std::uint64_t v = 0;
+  if (!parse_u64_arg(s, v) || v > UINT32_MAX) return false;
   out = static_cast<std::uint32_t>(v);
   return true;
 }
